@@ -241,11 +241,8 @@ def render_table(results: list[CellResult], columns: list, column_label: str, no
         cell = res.cell
         row = "fixed" if cell.mode == "fixed" else f"Ns={cell.sub_horizon}"
         col = cell.sigma if noise else (cell.lam if column_label == "lambda" else cell.horizon)
-        if cell.mode == "fixed":
-            col_candidates = columns  # fixed rows repeat across columns
-        else:
-            col_candidates = [col]
-        for c in col_candidates:
+        # a fixed-weight cell has no lambda, so it is the baseline of every lambda column
+        for c in columns if col is None else [col]:
             by_key[(cell.trajectory, row, c)] = res
         rows_seen.setdefault(row)
 

@@ -10,9 +10,11 @@ Each tick repeats up to ``alternations`` rounds of
 stopping early once the step norm drops below ``conv_tol``. The command is
 the first predicted control, clamped to the limits. The prediction is then
 shifted one stage for the next tick (drop the first stage, append the last
-state integrated one step forward). On a QP failure the controller holds
-the previous command and rebuilds the prediction from the reference window
-on the next tick.
+state integrated one step forward). Each round's QP starts its active-set
+loop from the working set the previous round ended with; the set is kept
+between ticks and shifted the same way as the controls. On a QP failure
+the controller holds the previous command and rebuilds the prediction from
+the reference window on the next tick, with every control free again.
 """
 
 from __future__ import annotations
@@ -90,12 +92,14 @@ class ControllerState:
     pred: PredictionTrajectory | None
     weights: WeightVector
     last_command: np.ndarray | None = None
+    active: np.ndarray | None = None  # (N, 4) QP working set to start the next tick from
 
 
 @dataclass
 class RoundInfo:
     kkt_residual: float
     step_norm: float
+    sweeps: int
 
 
 @dataclass
@@ -125,8 +129,12 @@ def init_controller(cfg: ControllerConfig, refs: ReferenceWindow) -> ControllerS
 def _shift(pred: PredictionTrajectory, dt: float, model: QuadrotorModel) -> PredictionTrajectory:
     tail = model.step(pred.xs[-1], pred.us[-1], dt)
     xs = np.vstack([pred.xs[1:], tail[None, :]])
-    us = np.vstack([pred.us[1:], pred.us[-1:]])
-    return PredictionTrajectory(xs, us)
+    return PredictionTrajectory(xs, _shift_rows(pred.us))
+
+
+def _shift_rows(rows: np.ndarray) -> np.ndarray:
+    """Drop the first stage and repeat the last one."""
+    return np.vstack([rows[1:], rows[-1:]])
 
 
 def nmpc_tick(
@@ -140,14 +148,16 @@ def nmpc_tick(
         raise ValueError(f"window of length {len(refs)} too short for horizon {cfg.horizon}")
     pred = state.pred if state.pred is not None else _pred_from_window(refs, cfg.horizon)
     weights = state.weights
+    active = state.active
     diag = TickDiagnostics()
 
     try:
         for _ in range(cfg.alternations):
             prob = build_qp(pred, refs, weights, x_meas, cfg.limits, cfg.alpha, cfg.dt, cfg.model)
-            sol = solve_qp(prob, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+            sol = solve_qp(prob, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter, active=active)
+            active = sol.active
             pred = apply_step(pred, sol, cfg.alpha, cfg.limits, cfg.model)
-            diag.rounds.append(RoundInfo(sol.kkt_residual, sol.step_norm))
+            diag.rounds.append(RoundInfo(sol.kkt_residual, sol.step_norm, sol.sweeps))
 
             last_round = len(diag.rounds) == cfg.alternations or sol.step_norm < cfg.conv_tol
             if cfg.adapt is not None and (cfg.stage2_every_round or last_round):
@@ -177,6 +187,7 @@ def nmpc_tick(
         pred=_shift(pred, cfg.dt, cfg.model),
         weights=weights,
         last_command=command,
+        active=_shift_rows(active),
     )
     return Control.from_vector(command), next_state, diag
 

@@ -239,7 +239,10 @@ def cell_config(cell: Cell, base: ControllerConfig) -> ControllerConfig:
 
 
 def run_cell(cell: Cell, base: ControllerConfig, seed: int = 0) -> CellResult:
-    """Run one grid cell; averages metrics over ``cell.runs`` derived seeds."""
+    """Run one grid cell; averages metrics over ``cell.runs`` derived seeds.
+
+    A run in which any tick failed its QP and held the command fails the cell.
+    """
     if not cell.valid:
         return CellResult(cell, "skipped", message="sub_horizon exceeds horizon")
     try:
@@ -249,6 +252,9 @@ def run_cell(cell: Cell, base: ControllerConfig, seed: int = 0) -> CellResult:
         for k in range(cell.runs):
             noise = NoiseConfig(sigma=cell.sigma, runs=1, seed=seed + k) if cell.sigma > 0.0 else None
             log = run_closed_loop(traj, cfg, noise=noise, seed=seed + k)
+            if log.failures:
+                message = f"run {k}: {log.failures} of {len(log)} ticks failed their QP and held the command"
+                return CellResult(cell, "failed", message=message)
             es.append(metric_total_error(log))
             tvs.append(metric_tv(log.u_applied))
         e_mean = float(np.mean(es))

@@ -11,7 +11,11 @@ with ``dz_k = [dx_k; du_k]`` and ``l_k`` the reference error of the current
 prediction. The equality-constrained core is solved by a backward Riccati
 recursion with affine terms; the control boxes are handled by an outer
 active-set loop that clamps components and checks multiplier signs. The
-success certificate is the KKT residual of the weight-normalized problem.
+loop can start from a given working set (the controller passes the one
+the previous round or tick ended with), and clamped components are masked
+out of each sweep rather than selected away, so every stage keeps its
+shape. The success certificate is the KKT residual of the
+weight-normalized problem.
 """
 
 from __future__ import annotations
@@ -122,6 +126,8 @@ class QpSolution:
     dx: np.ndarray  # (N+1, 10)
     du: np.ndarray  # (N, 4)
     kkt_residual: float
+    active: np.ndarray | None = None  # (N, 4) int8 final working set: -1 lower, 0 free, +1 upper
+    sweeps: int = 0  # Riccati sweeps the active-set loop ran
 
     @property
     def step_norm(self) -> float:
@@ -195,87 +201,97 @@ def _riccati_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward/forward sweep for the equality-constrained LQ problem.
 
-    Components marked in ``clamped`` are held at ``clamp_val``; their effect
-    is folded into the affine term. Returns (dx, du, lam) where ``lam[k]``
-    is the costate 2 P_k dx_k + p_k used for stationarity checks.
+    Components marked in ``clamped`` are held at ``clamp_val``. Every stage
+    keeps its full shape: the clamped columns of ``B`` are zeroed, the
+    clamped rows and columns of ``Quu`` are the identity (so their feedback
+    and feedforward come out exactly zero) and the clamp values are folded
+    into the defect. The sweep runs on the augmented state ``z = [dx; 1]``,
+    which carries the affine terms: the cost-to-go is ``z^T [[P, p/2],
+    [p^T/2, 0]] z`` and one solve with ``Quu`` gives the gain ``[K | k]``.
+    Returns (dx, du, lam) where ``lam[k]`` is the costate 2 P_k dx_k + p_k
+    used for stationarity checks.
     """
-    N, n, m = B.shape[0], B.shape[1], B.shape[2]
-    P = np.diag(qs[N])
-    p = qlin[N].copy()
-    Ks = [None] * N
-    ks = [None] * N
-    Ps = [None] * (N + 1)
-    ps = [None] * (N + 1)
-    Ps[N], ps[N] = P, p
+    N, n, m = B.shape
+    z, u = slice(0, n + 1), slice(n + 1, n + 1 + m)
+    held = np.where(clamped, clamp_val, 0.0)
+    # stage map z+ = G [z; du]
+    G = np.zeros((N, n + 1, n + 1 + m))
+    G[:, :n, :n] = A
+    G[:, :n, n] = defects + np.einsum("kij,kj->ki", B, held)
+    G[:, n, n] = 1.0
+    G[:, :n, u] = B * ~clamped[:, None, :]
+    # stage cost [z; du]^T C [z; du]
+    ix, iu = np.arange(n), np.arange(n + 1, n + 1 + m)
+    C = np.zeros((N + 1, n + 1 + m, n + 1 + m))
+    C[:, ix, ix] = qs
+    C[:, ix, n] = C[:, n, ix] = 0.5 * qlin
+    C[:N, iu, iu] = np.where(clamped, 1.0, rs)
+    C[:N, iu, n] = C[:N, n, iu] = np.where(clamped, 0.0, 0.5 * rlin)
 
+    K = np.empty((N, m, n + 1))  # [K | k]
+    P = np.empty((N + 1, n + 1, n + 1))
+    P[N] = C[N, z, z]
     for k in range(N - 1, -1, -1):
-        free = ~clamped[k]
-        d = defects[k] + B[k][:, clamped[k]] @ clamp_val[k][clamped[k]]
-        Bf = B[k][:, free]
-        Pd = P @ d
-        qx = qlin[k] + A[k].T @ (p + 2.0 * Pd)
-        Qxx = np.diag(qs[k]) + A[k].T @ P @ A[k]
-        if np.any(free):
-            Quu = np.diag(rs[k][free]) + Bf.T @ P @ Bf
-            Qux = Bf.T @ P @ A[k]
-            qu = rlin[k][free] + Bf.T @ (p + 2.0 * Pd)
-            K = -np.linalg.solve(Quu, Qux)
-            kff = -0.5 * np.linalg.solve(Quu, qu)
-            P = Qxx + Qux.T @ K
-            p = qx + K.T @ qu
-        else:
-            K = np.zeros((0, n))
-            kff = np.zeros(0)
-            P = Qxx
-            p = qx
-        P = 0.5 * (P + P.T)
-        Ks[k], ks[k] = K, kff
-        Ps[k], ps[k] = P, p
+        H = G[k].T @ P[k + 1] @ G[k] + C[k]
+        gain = np.linalg.solve(H[u, u], H[u, z])
+        np.negative(gain, out=K[k])
+        Pn = H[z, z] - H[z, u] @ gain
+        P[k] = 0.5 * (Pn + Pn.T)
+        P[k, n, n] = 0.0  # the cost-to-go constant is never used; zeroing it keeps it from growing
 
-    dx = np.zeros((N + 1, n))
-    du = np.zeros((N, m))
-    lam = np.zeros((N + 1, n))
-    dx[0] = gap
-    lam[0] = 2.0 * Ps[0] @ dx[0] + ps[0]
+    zs = np.empty((N + 1, n + 1))
+    zs[0, :n] = gap
+    zs[0, n] = 1.0
+    closed = G[:, :, z] + G[:, :, u] @ K
     for k in range(N):
-        free = ~clamped[k]
-        du[k][clamped[k]] = clamp_val[k][clamped[k]]
-        if np.any(free):
-            du[k][free] = Ks[k] @ dx[k] + ks[k]
-        dx[k + 1] = A[k] @ dx[k] + B[k] @ du[k] + defects[k]
-        lam[k + 1] = 2.0 * Ps[k + 1] @ dx[k + 1] + ps[k + 1]
-    return dx, du, lam
+        zs[k + 1] = closed[k] @ zs[k]
+    du = np.einsum("kij,kj->ki", K, zs[:-1]) + held
+    lam = 2.0 * np.einsum("kij,kj->ki", P[:, :n], zs)
+    return zs[:, :n].copy(), du, lam
 
 
 def _kkt_residual(
     A, B, defects, qs, rs, qlin, rlin, gap, lo, hi, dx, du, lam
 ) -> float:
     """Max-norm KKT residual of the box-constrained problem at (dx, du, lam)."""
-    N = B.shape[0]
-    res = float(np.abs(dx[0] - gap).max())
     at_lo = np.isclose(du, lo, rtol=0.0, atol=1e-12)
     at_hi = np.isclose(du, hi, rtol=0.0, atol=1e-12)
-    for k in range(N):
-        dyn = A[k] @ dx[k] + B[k] @ du[k] + defects[k] - dx[k + 1]
-        res = max(res, float(np.abs(dyn).max()))
-        grad_u = 2.0 * rs[k] * du[k] + rlin[k] + B[k].T @ lam[k + 1]
-        for i in range(du.shape[1]):
-            if at_hi[k, i] and not at_lo[k, i]:
-                res = max(res, max(0.0, float(grad_u[i])))  # need mu = -grad >= 0
-            elif at_lo[k, i] and not at_hi[k, i]:
-                res = max(res, max(0.0, float(-grad_u[i])))
-            else:
-                res = max(res, float(abs(grad_u[i])))
-        if k > 0:
-            grad_x = 2.0 * qs[k] * dx[k] + qlin[k] + A[k].T @ lam[k + 1] - lam[k]
-            res = max(res, float(np.abs(grad_x).max()))
-    res = max(res, float(np.abs(2.0 * qs[N] * dx[N] + qlin[N] - lam[N]).max()))
-    res = max(res, float(np.maximum(lo - du, 0.0).max()), float(np.maximum(du - hi, 0.0).max()))
-    return res
+    dyn = np.einsum("kij,kj->ki", A, dx[:-1]) + np.einsum("kij,kj->ki", B, du) + defects - dx[1:]
+    grad_u = 2.0 * rs * du + rlin + np.einsum("kji,kj->ki", B, lam[1:])
+    # a control held at its upper bound needs mu = -grad_u >= 0, at its lower bound mu = grad_u >= 0
+    grad_u = np.where(
+        at_hi & ~at_lo,
+        np.maximum(grad_u, 0.0),
+        np.where(at_lo & ~at_hi, np.maximum(-grad_u, 0.0), np.abs(grad_u)),
+    )
+    grad_x = 2.0 * qs[1:-1] * dx[1:-1] + qlin[1:-1] + np.einsum("kji,kj->ki", A[1:], lam[2:]) - lam[1:-1]
+    terminal = 2.0 * qs[-1] * dx[-1] + qlin[-1] - lam[-1]
+    parts = (
+        np.abs(dx[0] - gap),
+        np.abs(dyn).ravel(),
+        grad_u.ravel(),
+        np.abs(grad_x).ravel(),
+        np.abs(terminal),
+        np.maximum(lo - du, 0.0).ravel(),
+        np.maximum(du - hi, 0.0).ravel(),
+    )
+    return float(np.concatenate(parts).max())
 
 
-def solve_qp(prob: ShootingProblem, tol: float = 1e-6, max_iter: int = 200) -> QpSolution:
+def solve_qp(
+    prob: ShootingProblem,
+    tol: float = 1e-6,
+    max_iter: int = 200,
+    active: np.ndarray | None = None,
+) -> QpSolution:
     """Solve the stage-wise QP; raises :class:`QpSolveError` on failure.
+
+    ``active`` is the working set the active-set loop starts from, an
+    ``(N, 4)`` array of -1 (held at the lower bound), 0 (free) or +1 (held
+    at the upper bound); None starts with every control free. It is
+    ignored when the problem has no limits. The clamp values always come
+    from the problem's own box. The solution carries the final working set
+    and the number of Riccati sweeps the loop ran.
 
     The reported residual is that of the weight-normalized problem (weights
     divided by their largest entry), which keeps the certificate meaningful
@@ -299,6 +315,7 @@ def solve_qp(prob: ShootingProblem, tol: float = 1e-6, max_iter: int = 200) -> Q
     qlin = prob.alpha * qs * prob.lx
     rlin = prob.alpha * rs * prob.lu
 
+    act = np.zeros((N, CONTROL_DIM), dtype=np.int8)
     if prob.limits is None:
         lo = np.full(prob.u_pred.shape, -np.inf)
         hi = np.full(prob.u_pred.shape, np.inf)
@@ -307,19 +324,24 @@ def solve_qp(prob: ShootingProblem, tol: float = 1e-6, max_iter: int = 200) -> Q
         hi = np.broadcast_to(prob.limits.upper, prob.u_pred.shape) - prob.u_pred
         if np.any(lo > hi):
             raise QpSolveError("infeasible control box bounds")
+        if active is not None:
+            active = np.asarray(active)
+            if active.shape != act.shape or np.any(np.abs(active) > 1):
+                raise ValueError(f"active set must be an {act.shape} array of -1, 0 or +1")
+            act[:] = active
 
-    clamped = np.zeros((N, CONTROL_DIM), dtype=bool)
-    clamp_val = np.zeros((N, CONTROL_DIM))
-    at_upper = np.zeros((N, CONTROL_DIM), dtype=bool)
     dual_tol = 1e-10
     res = float("nan")
     seen_sets: set[bytes] = set()
     cycling = False
 
-    for _ in range(max_iter):
+    for sweeps in range(1, max_iter + 1):
+        clamped = act != 0
+        at_upper = act > 0
+        clamp_val = np.where(at_upper, hi, np.where(clamped, lo, 0.0))
         dx, du, lam = _riccati_solve(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap, clamp_val, clamped)
 
-        grad_u = 2.0 * rs * du + rlin + np.einsum("kij,kj->ki", B.transpose(0, 2, 1), lam[1:])
+        grad_u = 2.0 * rs * du + rlin + np.einsum("kji,kj->ki", B, lam[1:])
 
         viol_hi = ~clamped & (du > hi + 1e-12)
         viol_lo = ~clamped & (du < lo - 1e-12)
@@ -332,28 +354,20 @@ def solve_qp(prob: ShootingProblem, tol: float = 1e-6, max_iter: int = 200) -> Q
                 raise QpSolveError("QP solve produced non-finite iterates")
             res = _kkt_residual(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap, lo, hi, dx, du, lam)
             if res <= tol:
-                return QpSolution(dx, du, res)
+                return QpSolution(dx, du, res, act, sweeps)
             break
 
         if viol_hi.any() or viol_lo.any():
-            clamped |= viol_hi | viol_lo
-            at_upper |= viol_hi
-            at_upper &= ~viol_lo
-            clamp_val = np.where(viol_hi, hi, clamp_val)
-            clamp_val = np.where(viol_lo, lo, clamp_val)
+            act[viol_hi] = 1
+            act[viol_lo] = -1
         elif not cycling:
             # release every wrong-sign multiplier at once; fall back to
             # single releases if the working set ever repeats
-            clamped &= ~release
-            at_upper &= ~release
-            clamp_val = np.where(release, 0.0, clamp_val)
+            act[release] = 0
         else:
-            idx = np.unravel_index(np.argmin(np.where(release, mult, np.inf)), mult.shape)
-            clamped[idx] = False
-            at_upper[idx] = False
-            clamp_val[idx] = 0.0
+            act[np.unravel_index(np.argmin(np.where(release, mult, np.inf)), mult.shape)] = 0
 
-        sig = np.packbits(clamped ^ at_upper).tobytes() + np.packbits(clamped).tobytes()
+        sig = act.tobytes()
         if sig in seen_sets:
             cycling = True
         seen_sets.add(sig)

@@ -5,6 +5,8 @@ formulas, scalar loops, dense linear algebra) so the tests check the
 library against a second, unrelated code path.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -55,12 +57,12 @@ def central_difference_jacobians(step, x, u, dt, h=1e-6):
     return A, B
 
 
-def dense_equality_qp(A, B, defects, qs, rs, qlin, rlin, gap):
-    """Dense KKT solve of the equality-constrained stage QP.
+def dense_stage_qp(A, B, defects, qs, rs, qlin, rlin, gap):
+    """Dense form of the stage QP over z = [x_0..x_N, u_0..u_{N-1}].
 
-    Variables z = [x_0..x_N, u_0..u_{N-1}] with objective
-    sum x_k' diag(qs_k) x_k + qlin_k' x_k + sum u_k' diag(rs_k) u_k + rlin_k' u_k
-    subject to x_0 = gap and x_{k+1} = A_k x_k + B_k u_k + defects_k.
+    Objective 0.5 z' H z + g' z =
+    sum x_k' diag(qs_k) x_k + qlin_k' x_k + sum u_k' diag(rs_k) u_k + rlin_k' u_k,
+    constraints E z = e: x_0 = gap and x_{k+1} = A_k x_k + B_k u_k + defects_k.
     """
     N, n, m = B.shape[0], B.shape[1], B.shape[2]
     nz = (N + 1) * n + N * m
@@ -84,9 +86,22 @@ def dense_equality_qp(A, B, defects, qs, rs, qlin, rlin, gap):
         E[r0 : r0 + n, (k + 1) * n : (k + 2) * n] = -np.eye(n)
         E[r0 : r0 + n, off + k * m : off + (k + 1) * m] = B[k]
         e[r0 : r0 + n] = -defects[k]
+    return H, g, E, e
+
+
+def solve_dense_kkt(H, g, E, e):
+    """Minimizer of 0.5 z' H z + g' z subject to E z = e, from one KKT system."""
+    nz, nc = H.shape[0], E.shape[0]
     KKT = np.block([[H, E.T], [E, np.zeros((nc, nc))]])
-    z = np.linalg.solve(KKT, np.concatenate([-g, e]))
-    return z[: (N + 1) * n].reshape(N + 1, n), z[off:nz].reshape(N, m)
+    return np.linalg.solve(KKT, np.concatenate([-g, e]))[:nz]
+
+
+def dense_equality_qp(A, B, defects, qs, rs, qlin, rlin, gap):
+    """Dense KKT solve of the equality-constrained stage QP (see :func:`dense_stage_qp`)."""
+    N, n, m = B.shape[0], B.shape[1], B.shape[2]
+    z = solve_dense_kkt(*dense_stage_qp(A, B, defects, qs, rs, qlin, rlin, gap))
+    off = (N + 1) * n
+    return z[:off].reshape(N + 1, n), z[off:].reshape(N, m)
 
 
 def random_shooting_data(rng, N, n=10, m=4):
@@ -151,3 +166,61 @@ class LinearModel:
 
     def project(self, x):
         return np.asarray(x, dtype=float).copy()
+
+
+def enumerated_box_qp(A, B, defects, qs, rs, qlin, rlin, gap, lo, hi):
+    """Box-constrained stage QP by enumerating every working set.
+
+    The stage QP of :func:`dense_stage_qp` plus ``lo <= u_k <= hi``. Each of
+    the 3^(N m) working sets (every control at its lower bound, free, or at
+    its upper bound) fixes the held controls and is solved as one dense
+    equality-constrained KKT system; the feasible candidate with the lowest
+    objective is the minimizer. Returns (dx, du, active) with ``active`` in
+    {-1, 0, +1} per control.
+    """
+    N, n, m = B.shape[0], B.shape[1], B.shape[2]
+    H, g, E, e = dense_stage_qp(A, B, defects, qs, rs, qlin, rlin, gap)
+    nx = (N + 1) * n
+    lo_flat, hi_flat = lo.ravel(), hi.ravel()
+
+    best = None
+    for working in itertools.product((-1, 0, 1), repeat=N * m):
+        held = [j for j, s in enumerate(working) if s != 0]
+        S = np.zeros((len(held), H.shape[0]))
+        S[np.arange(len(held)), [nx + j for j in held]] = 1.0
+        s_val = np.array([hi_flat[j] if working[j] > 0 else lo_flat[j] for j in held])
+        z = solve_dense_kkt(H, g, np.vstack([E, S]), np.concatenate([e, s_val]))
+        u = z[nx:]
+        if np.any(u < lo_flat - 1e-9) or np.any(u > hi_flat + 1e-9):
+            continue
+        obj = 0.5 * z @ H @ z + g @ z
+        if best is None or obj < best[0]:
+            best = (obj, z, working)
+    _, z, working = best
+    active = np.array(working, dtype=np.int8).reshape(N, m)
+    return z[:nx].reshape(N + 1, n), z[nx:].reshape(N, m), active
+
+
+def kkt_residual_loops(A, B, defects, qs, rs, qlin, rlin, gap, lo, hi, dx, du, lam):
+    """Max-norm KKT residual of the box-constrained stage QP, one stage and one control at a time."""
+    N = B.shape[0]
+    res = float(np.abs(dx[0] - gap).max())
+    at_lo = np.isclose(du, lo, rtol=0.0, atol=1e-12)
+    at_hi = np.isclose(du, hi, rtol=0.0, atol=1e-12)
+    for k in range(N):
+        dyn = A[k] @ dx[k] + B[k] @ du[k] + defects[k] - dx[k + 1]
+        res = max(res, float(np.abs(dyn).max()))
+        grad_u = 2.0 * rs[k] * du[k] + rlin[k] + B[k].T @ lam[k + 1]
+        for i in range(du.shape[1]):
+            if at_hi[k, i] and not at_lo[k, i]:
+                res = max(res, max(0.0, float(grad_u[i])))  # need mu = -grad >= 0
+            elif at_lo[k, i] and not at_hi[k, i]:
+                res = max(res, max(0.0, float(-grad_u[i])))
+            else:
+                res = max(res, float(abs(grad_u[i])))
+        if k > 0:
+            grad_x = 2.0 * qs[k] * dx[k] + qlin[k] + A[k].T @ lam[k + 1] - lam[k]
+            res = max(res, float(np.abs(grad_x).max()))
+    res = max(res, float(np.abs(2.0 * qs[N] * dx[N] + qlin[N] - lam[N]).max()))
+    res = max(res, float(np.maximum(lo - du, 0.0).max()), float(np.maximum(du - hi, 0.0).max()))
+    return res

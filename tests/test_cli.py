@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from adaptive_nmpc.cli import main, read_simlog_csv
+from adaptive_nmpc.cli import main, read_simlog_csv, render_table
+from adaptive_nmpc.harness import Cell, CellResult, MetricsReport
 from adaptive_nmpc.trajectories import preset
 
 
@@ -219,3 +220,36 @@ class TestTableCommand:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--table", "5"])
         assert exc.value.code == 2
+
+
+class TestRenderTable:
+    @staticmethod
+    def row_values(text, row, noise):
+        tokens = next(line for line in text.splitlines() if line.startswith(row)).split()
+        return tokens[1:] if noise else tokens[1::3]  # "e | tv" per column
+
+    @pytest.mark.parametrize(
+        "label, columns, noise, fixed_cells, fixed_row",
+        [
+            # a fixed cell has no lambda: one baseline repeated under every lambda
+            ("lambda", [0.01, 0.67, 1.67, 3.0], False, [Cell("agg1", "fixed")], ["10.00"] * 4),
+            # its own horizon and sigma: one baseline per column
+            ("N", [8, 14, 19, 24], False, [Cell("agg1", "fixed", horizon=nh) for nh in (8, 14, 19, 24)],
+             ["10.00", "11.00", "12.00", "13.00"]),
+            ("sigma", [0.5, 2.0, 3.5, 5.0], True, [Cell("agg1", "fixed", sigma=s, runs=2) for s in (0.5, 2.0, 3.5, 5.0)],
+             ["10.00", "11.00", "12.00", "13.00"]),
+        ],
+    )
+    def test_fixed_row_shows_each_columns_own_baseline(self, label, columns, noise, fixed_cells, fixed_row):
+        def result(cell, e):
+            return CellResult(cell, "ok", MetricsReport(e=e, tv=0.5, e_r=e if cell.runs > 1 else None))
+
+        adaptive = []
+        for c in columns:
+            axis = {"lambda": {"lam": c}, "N": {"horizon": c}, "sigma": {"sigma": c, "runs": 2}}[label]
+            adaptive.append(Cell("agg1", "adaptive", **{"lam": 1.0, "sub_horizon": 4, **axis}))
+        results = [result(cell, 10.0 + j) for j, cell in enumerate(fixed_cells)]
+        results += [result(cell, 20.0 + j) for j, cell in enumerate(adaptive)]
+        text = render_table(results, columns, label, noise=noise)
+        assert self.row_values(text, "fixed", noise) == fixed_row
+        assert self.row_values(text, "Ns=4", noise) == ["20.00", "21.00", "22.00", "23.00"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adaptive_nmpc import controller, harness
 from adaptive_nmpc.adaptation import AdaptConfig
 from adaptive_nmpc.controller import (
     ControllerConfig,
@@ -12,7 +13,7 @@ from adaptive_nmpc.controller import (
 )
 from adaptive_nmpc.dynamics import GRAVITY, ControlLimits, hover_control, hover_state
 from adaptive_nmpc.trajectories import ReferenceWindow, preset
-from adaptive_nmpc.transcription import WeightVector, build_qp
+from adaptive_nmpc.transcription import WeightVector, build_qp, solve_qp
 from helpers import LinearModel, dense_equality_qp
 
 N = 10
@@ -151,6 +152,70 @@ class TestTick:
         np.testing.assert_allclose(st2.pred.us, win.us[:N], atol=1e-9)
 
 
+#: Box below the thrust and rate peaks of agg1/agg2, so bounds bind on most ticks.
+TIGHT_BOX = ControlLimits(c_min=7.0, c_max=12.5, omega_min=-1.0, omega_max=1.0)
+
+
+def record_solves(monkeypatch):
+    """Record (problem, start set, solution) of every QP the controller solves."""
+    calls = []
+
+    def solve(prob, *args, active=None, **kwargs):
+        sol = solve_qp(prob, *args, active=active, **kwargs)
+        calls.append((prob, active, sol))
+        return sol
+
+    monkeypatch.setattr(controller, "solve_qp", solve)
+    return calls
+
+
+class TestWarmStart:
+    def test_tight_box_start_set_saves_sweeps(self, monkeypatch):
+        calls = record_solves(monkeypatch)
+        log = harness.run_closed_loop(preset("agg1"), ControllerConfig(limits=TIGHT_BOX))
+        assert log.failures == 0
+        warm = cold = 0
+        for prob, start, sol in calls:
+            ref = solve_qp(prob)
+            warm += sol.sweeps
+            cold += ref.sweeps
+            np.testing.assert_array_equal(sol.dx, ref.dx)
+            np.testing.assert_array_equal(sol.du, ref.du)
+            np.testing.assert_array_equal(sol.active, ref.active)
+        assert any(np.any(sol.active != 0) for _, _, sol in calls)
+        assert warm < cold
+
+    def test_set_carried_between_rounds_and_shifted_between_ticks(self, monkeypatch):
+        calls = record_solves(monkeypatch)
+        cfg = ControllerConfig(limits=TIGHT_BOX)
+        traj = preset("agg1", dt=cfg.dt)
+        st = init_controller(cfg, traj.window(0, cfg.horizon + 1))
+        x = traj.xs[0]
+        for i in range(5):
+            cmd, st, diag = nmpc_tick(st, x, traj.window(i, cfg.horizon + 1), cfg)
+            x = cfg.model.step(x, cmd.as_vector(), cfg.dt)
+            last = calls[-1][2].active
+            np.testing.assert_array_equal(st.active, np.vstack([last[1:], last[-1:]]))
+            assert [r.sweeps for r in diag.rounds] == [sol.sweeps for _, _, sol in calls[-len(diag.rounds):]]
+        assert calls[0][1] is None
+        for (_, _, prev), (_, start, _) in zip(calls, calls[1:]):
+            assert start is prev.active or np.array_equal(start, np.vstack([prev.active[1:], prev.active[-1:]]))
+
+    @pytest.mark.parametrize("name", ["agg1", "agg2", "circle", "diamond"])
+    def test_default_box_takes_one_sweep_per_qp(self, monkeypatch, name):
+        rounds = []
+
+        def tick(*args):
+            out = nmpc_tick(*args)
+            rounds.extend(out[2].rounds)
+            return out
+
+        monkeypatch.setattr(harness, "nmpc_tick", tick)
+        cfg = ControllerConfig(adapt=AdaptConfig(lam=1.0, sub_horizon=8))
+        harness.run_closed_loop(preset(name, dt=cfg.dt), cfg)
+        assert rounds and all(r.sweeps == 1 for r in rounds)
+
+
 class TestFailurePolicy:
     class BrokenModel:
         state_dim = 10
@@ -179,6 +244,7 @@ class TestFailurePolicy:
         assert diag.failed
         np.testing.assert_array_equal(cmd.as_vector(), [12.0, 0.1, 0.2, 0.3])
         assert st2.pred is None  # rebuilt from the reference window next tick
+        assert st2.active is None  # and its QP starts with every control free
 
     def test_qp_failure_without_history_falls_back_to_reference(self):
         win = hover_window(N + 2)

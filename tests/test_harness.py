@@ -3,7 +3,7 @@ import pytest
 
 from adaptive_nmpc.adaptation import AdaptConfig
 from adaptive_nmpc.controller import ControllerConfig
-from adaptive_nmpc.dynamics import State, hover_state
+from adaptive_nmpc.dynamics import ControlLimits, State, hover_state
 from adaptive_nmpc.harness import (
     Cell,
     GridSpec,
@@ -185,6 +185,17 @@ class TestGrid:
         assert res.status == "ok"
         assert len(res.per_run_e) == 3
         assert res.report.e_r == pytest.approx(float(np.mean(res.per_run_e)), rel=1e-15)
+
+    def test_cell_with_held_commands_fails(self):
+        tight = ControlLimits(c_min=7.0, c_max=12.5, omega_min=-1.0, omega_max=1.0)
+        cell = Cell("agg1", "fixed", None, 19, None, 0.0, "exponential", 1)
+        res = run_cell(cell, ControllerConfig(qp_max_iter=1, limits=tight))
+        assert res.status == "failed"
+        assert res.report is None
+        assert res.message == "run 0: 103 of 103 ticks failed their QP and held the command"
+        healthy = run_cell(cell, ControllerConfig(limits=tight))
+        assert healthy.status == "ok"
+        assert healthy.message == ""
 
     def test_failed_cell_recorded_and_grid_continues(self):
         grid = GridSpec(trajectories=("circle", "nosuch"), modes=("fixed",), horizons=(8,))

@@ -17,10 +17,17 @@ from adaptive_nmpc.transcription import (
     apply_step,
     build_qp,
     default_weights,
+    _kkt_residual,
     qp_objective,
     solve_qp,
 )
-from helpers import LinearModel, dense_equality_qp, random_shooting_data
+from helpers import (
+    LinearModel,
+    dense_equality_qp,
+    enumerated_box_qp,
+    kkt_residual_loops,
+    random_shooting_data,
+)
 
 DT = 0.05
 WIDE = ControlLimits(c_min=0.0, c_max=1e9, omega_min=-1e9, omega_max=1e9)
@@ -215,6 +222,97 @@ class TestSolveQp:
         prob = shooting_from_arrays(A, B, defects, qs, 0 * rs, lx, lu, gap)
         with pytest.raises(QpSolveError):
             solve_qp(prob)
+
+
+def box_instance(rng, N):
+    """Random stage QP whose box excludes the unconstrained minimizer, so bounds bind.
+
+    Returns the problem and the oracle's arguments (weights unnormalized,
+    box in step coordinates).
+    """
+    A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, N)
+    _, du_free = dense_equality_qp(A, B, defects, qs, rs, qs * lx, rs * lu, gap)
+    width = rng.uniform(0.2, 1.0, 4)
+    limits = ControlLimits(c_min=1.0, c_max=1.0 + width[0], omega_min=-0.5 * width[1:], omega_max=0.5 * width[1:])
+    # each box sits within one width of the free minimizer; the first one excludes it
+    offset = rng.uniform(-1.0, 1.0, (N, 4)) * width
+    offset[0, 0] = 1.5 * width[0]
+    u_pred = limits.lower - (du_free + offset - 0.5 * width)
+    prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits, u_pred)
+    oracle_args = (A, B, defects, qs, rs, qs * lx, rs * lu, gap, limits.lower - u_pred, limits.upper - u_pred)
+    return prob, oracle_args
+
+
+class TestBoxQpOracle:
+    @pytest.mark.parametrize("N, count", [(1, 20), (2, 4)])
+    def test_matches_enumeration_from_every_start(self, N, count):
+        rng = np.random.default_rng(40 + N)
+        for _ in range(count):
+            prob, oracle_args = box_instance(rng, N)
+            dx_o, du_o, active_o = enumerated_box_qp(*oracle_args)
+            assert np.any(active_o != 0)
+            wrong = rng.integers(-1, 2, active_o.shape).astype(np.int8)
+            if np.array_equal(wrong, active_o):
+                wrong[0, 0] = 0 if active_o[0, 0] else 1
+            starts = [None, active_o, wrong, np.full(active_o.shape, -1), np.full(active_o.shape, 1)]
+            for start in starts:
+                sol = solve_qp(prob, active=start)
+                assert np.abs(sol.dx - dx_o).max() < 1e-9
+                assert np.abs(sol.du - du_o).max() < 1e-9
+                np.testing.assert_array_equal(sol.active, active_o)
+                assert sol.kkt_residual <= 1e-6
+            assert solve_qp(prob, active=active_o).sweeps == 1
+
+    def test_start_set_ignored_without_limits(self):
+        rng = np.random.default_rng(7)
+        A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, N=3)
+        prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap)
+        cold = solve_qp(prob)
+        warm = solve_qp(prob, active=np.ones((3, 4), dtype=np.int8))
+        np.testing.assert_array_equal(warm.du, cold.du)
+        np.testing.assert_array_equal(warm.active, np.zeros((3, 4)))
+        assert warm.sweeps == cold.sweeps == 1
+
+    def test_malformed_start_set_rejected(self):
+        prob, _ = box_instance(np.random.default_rng(8), N=2)
+        with pytest.raises(ValueError):
+            solve_qp(prob, active=np.zeros((3, 4), dtype=np.int8))
+        with pytest.raises(ValueError):
+            solve_qp(prob, active=np.full((2, 4), 2))
+
+
+class TestKktResidual:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            N = int(rng.integers(1, 6))
+            A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, N)
+            dx = rng.standard_normal((N + 1, 10))
+            lam = rng.standard_normal((N + 1, 10))
+            lo = -rng.uniform(0.1, 1.0, (N, 4))
+            hi = rng.uniform(0.1, 1.0, (N, 4))
+            # each control exactly at lo, exactly at hi, strictly inside, or outside the box
+            where = rng.integers(0, 4, (N, 4))
+            du = np.select(
+                [where == 0, where == 1, where == 2],
+                [lo, hi, rng.uniform(lo, hi)],
+                hi + rng.uniform(0.0, 0.5, (N, 4)),
+            )
+            args = (A, B, defects, qs, rs, qs * lx, rs * lu, gap, lo, hi, dx, du, lam)
+            ref = kkt_residual_loops(*args)
+            assert abs(_kkt_residual(*args) - ref) <= 1e-13 * max(1.0, ref)
+
+    def test_multiplier_sign_at_each_bound(self):
+        # one stage whose only nonzero data is the control gradient: a control
+        # at its upper bound may carry a negative gradient, at its lower bound
+        # a positive one; the wrong sign at an upper bound shows as the residual
+        du = np.array([[1.0, -1.0, 0.0, 1.0]])
+        grad_u = np.array([[-3.0, 3.0, 0.0, 0.5]])
+        rs = np.ones((1, 4))
+        x0 = np.zeros((2, 10))
+        args = (np.zeros((1, 10, 10)), np.zeros((1, 10, 4)), np.zeros((1, 10)), np.ones((2, 10)), rs,
+                np.zeros((2, 10)), grad_u - 2.0 * rs * du, np.zeros(10), -rs, rs, x0, du, x0)
+        assert _kkt_residual(*args) == kkt_residual_loops(*args) == 0.5
 
 
 class TestApplyStep:
