@@ -8,7 +8,6 @@ harness with a command-line front end.
 
 from .adaptation import (
     AdaptConfig,
-    ErrorAggregate,
     compute_v,
     update_weights,
     update_weights_exp,
@@ -57,7 +56,6 @@ from .harness import (
 )
 from .trajectories import (
     PRESET_NAMES,
-    ReferencePoint,
     ReferenceTrajectory,
     ReferenceWindow,
     derive_reference_controls,

@@ -6,8 +6,8 @@ After each prediction step the per-dimension error products
 
 are accumulated over the sub-horizon and mapped to new diagonal state
 weights. The plain linear form ``q = sum(v) / (2*lam + gamma)`` is the
-exact minimizer of ``lam q'q - sum(v)'q``; the projected form clips it at
-zero so the weight matrix stays positive semidefinite; the exponential
+exact minimizer of ``lam q'q - sum(v)'q`` (the controller clips it at
+zero so the weight matrix stays positive semidefinite); the exponential
 form ``q = exp(sum(v) / (2*lam + gamma))`` is the variant used by the
 benchmark defaults (neutral all-ones weights under perfect tracking).
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VARIANTS = ("linear", "linear_projected", "exponential")
+VARIANTS = ("linear", "exponential")
 
 
 @dataclass(frozen=True)
@@ -53,22 +53,6 @@ class AdaptConfig:
         return 2.0 * self.lam + self.gamma
 
 
-@dataclass(frozen=True)
-class ErrorAggregate:
-    """Sub-horizon sum of the per-stage error products."""
-
-    v_sum: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v_sum", np.asarray(self.v_sum, dtype=float))
-        if not np.all(np.isfinite(self.v_sum)):
-            raise ValueError("error aggregate must be finite")
-
-
-def _as_vsum(v) -> np.ndarray:
-    return v.v_sum if isinstance(v, ErrorAggregate) else np.asarray(v, dtype=float)
-
-
 def compute_v(dx_k: np.ndarray, l_k_state: np.ndarray, alpha: float) -> np.ndarray:
     """Elementwise error product (dx_k + alpha * l_k) (.) dx_k."""
     dx_k = np.asarray(dx_k, dtype=float)
@@ -79,18 +63,15 @@ def compute_v(dx_k: np.ndarray, l_k_state: np.ndarray, alpha: float) -> np.ndarr
 
 
 def update_weights_linear(v_sum, cfg: AdaptConfig) -> np.ndarray:
-    """Closed-form minimizer of the weight objective, optionally projected at 0."""
+    """Closed-form minimizer of the weight objective."""
     if cfg.denom <= 0.0:
         raise ValueError(f"need 2*lam + gamma > 0, got {cfg.denom}")
-    q = _as_vsum(v_sum) / cfg.denom
-    if cfg.variant == "linear_projected":
-        q = np.maximum(q, 0.0)
-    return q
+    return np.asarray(v_sum, dtype=float) / cfg.denom
 
 
 def update_weights_exp(v_sum, cfg: AdaptConfig) -> np.ndarray:
     """Exponential weight map with clamped argument; always positive."""
-    arg = np.minimum(_as_vsum(v_sum) / cfg.denom, cfg.exp_clamp)
+    arg = np.minimum(np.asarray(v_sum, dtype=float) / cfg.denom, cfg.exp_clamp)
     return np.exp(arg)
 
 

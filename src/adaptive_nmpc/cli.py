@@ -58,8 +58,11 @@ SIMLOG_COLUMNS = (
 
 REPORT_COLUMNS = ("trajectory", "variant", "lambda", "N", "Ns", "sigma", "e", "tv", "e_r", "status")
 
-_VARIANT_CLI_TO_INTERNAL = {"linear": "linear", "linear-projected": "linear_projected", "exp": "exponential"}
+_VARIANT_CLI_TO_INTERNAL = {"linear": "linear", "exp": "exponential"}
 _VARIANT_INTERNAL_TO_CLI = {v: k for k, v in _VARIANT_CLI_TO_INTERNAL.items()}
+
+#: JSON value types accepted for each RunConfig field type (ints are valid floats).
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 TABLE_LAMBDAS = (0.01, 0.67, 1.67, 3.00)
 TABLE_HORIZONS = (8, 14, 19, 24)
@@ -130,22 +133,23 @@ class RunConfig:
         return preset(self.trajectory, dt=self.dt)
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace, defaults: RunConfig | None = None) -> RunConfig:
     """Apply precedence defaults < config file < explicit flags."""
-    cfg = RunConfig()
+    cfg = defaults if defaults is not None else RunConfig()
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path) as fh:
             data = json.load(fh)
-        known = {f.name for f in fields(RunConfig) if not f.name.startswith("_")}
+        types = {f.name: f.type for f in fields(RunConfig)}
         for key, value in data.items():
             attr = RunConfig._FILE_KEYS.get(key, key)
-            if attr not in known:
+            if attr not in types:
                 raise ValueError(f"unknown config key {key!r}")
+            # bool is an int subclass in Python, but JSON true/false is never a number here
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[attr]]):
+                raise ValueError(f"config key {key!r} must be of type {types[attr]}, got {value!r}")
             setattr(cfg, attr, value)
     for f in fields(RunConfig):
-        if f.name.startswith("_"):
-            continue
         flag_val = getattr(args, f.name, None)
         if flag_val is not None:
             setattr(cfg, f.name, flag_val)
@@ -275,7 +279,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     traj = cfg.load_trajectory()
     controller_cfg = cfg.controller_config()
-    noise = NoiseConfig(sigma=cfg.noise_sigma, runs=1, seed=cfg.seed) if cfg.noise_sigma > 0 else None
+    noise = NoiseConfig(sigma=cfg.noise_sigma) if cfg.noise_sigma > 0 else None
     log = run_closed_loop(traj, controller_cfg, noise=noise, seed=cfg.seed)
 
     e = metric_total_error(log)
@@ -334,9 +338,7 @@ def table_grid(table: int, cfg: RunConfig) -> GridSpec:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if args.table == 3 and getattr(args, "runs", None) is None:
-        cfg.runs = 15
+    cfg = resolve_config(args, RunConfig(runs=15) if args.table == 3 else None)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -4,8 +4,9 @@ Each tick repeats up to ``alternations`` rounds of
 
   Stage 1: linearize the prediction, solve the stage-wise QP, take the
            (partial) Newton step;
-  Stage 2: (adaptive mode only) accumulate the error products over the
-           sub-horizon and refresh the diagonal state weights,
+  Stage 2: (adaptive mode only, final round only) accumulate the error
+           products over the sub-horizon and refresh the diagonal state
+           weights, clipped at zero,
 
 stopping early once the step norm drops below ``conv_tol``. The command is
 the first predicted control, clamped to the limits. The prediction is then
@@ -66,9 +67,6 @@ class ControllerConfig:
     conv_tol: float = 1e-4
     qp_tol: float = 1e-6
     qp_max_iter: int = 200
-    # run the weight update once per tick, after the final round: the command
-    # is then never computed from weights refreshed by a corrupted measurement
-    stage2_every_round: bool = False
     model: QuadrotorModel = field(default_factory=lambda: QUADROTOR)
 
     def __post_init__(self):
@@ -160,7 +158,9 @@ def nmpc_tick(
             diag.rounds.append(RoundInfo(sol.kkt_residual, sol.step_norm, sol.sweeps))
 
             last_round = len(diag.rounds) == cfg.alternations or sol.step_norm < cfg.conv_tol
-            if cfg.adapt is not None and (cfg.stage2_every_round or last_round):
+            # run the weight update once per tick, after the final round: the command
+            # is then never computed from weights refreshed by a corrupted measurement
+            if cfg.adapt is not None and last_round:
                 # error products from the post-step prediction residual against the
                 # reference, with the pre-step error as the gradient anchor
                 ns = cfg.adapt.sub_horizon

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -32,14 +32,10 @@ THREADS_ENV = "ADAPTIVE_NMPC_THREADS"
 @dataclass
 class NoiseConfig:
     sigma: float = 0.0
-    runs: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
 
 
 @dataclass
@@ -90,11 +86,11 @@ def metric_total_error(log: SimLog) -> float:
     return float(log.position_error.sum())
 
 
-def metric_tv(controls: np.ndarray, length: int | None = None) -> float:
+def metric_tv(controls: np.ndarray) -> float:
     """Mean absolute tick-to-tick change of thrust and body rates."""
     controls = np.asarray(controls, dtype=float)
-    L = length if length is not None else controls.shape[0]
-    if L < 2 or controls.shape[0] < 2:
+    L = controls.shape[0]
+    if L < 2:
         raise ValueError("need at least 2 control samples")
     diffs = np.abs(np.diff(controls, axis=0))
     return float(diffs.sum() / L)
@@ -158,7 +154,7 @@ def run_closed_loop(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Cell:
     """One grid cell: a fully specified controller/run configuration."""
 
@@ -174,21 +170,6 @@ class Cell:
     @property
     def valid(self) -> bool:
         return self.mode == "fixed" or self.sub_horizon is None or self.sub_horizon <= self.horizon
-
-    def effective_key(self) -> tuple:
-        """Cache key collapsing parameters that do not affect the run."""
-        if self.mode == "fixed":
-            return (self.trajectory, "fixed", None, self.horizon, None, self.sigma, None, self.runs)
-        return (
-            self.trajectory,
-            self.mode,
-            self.lam,
-            self.horizon,
-            self.sub_horizon,
-            self.sigma,
-            self.variant,
-            self.runs,
-        )
 
 
 @dataclass
@@ -250,7 +231,7 @@ def run_cell(cell: Cell, base: ControllerConfig, seed: int = 0) -> CellResult:
         traj = preset(cell.trajectory, dt=cfg.dt)
         es, tvs = [], []
         for k in range(cell.runs):
-            noise = NoiseConfig(sigma=cell.sigma, runs=1, seed=seed + k) if cell.sigma > 0.0 else None
+            noise = NoiseConfig(sigma=cell.sigma) if cell.sigma > 0.0 else None
             log = run_closed_loop(traj, cfg, noise=noise, seed=seed + k)
             if log.failures:
                 message = f"run {k}: {log.failures} of {len(log)} ticks failed their QP and held the command"
@@ -268,16 +249,14 @@ def run_cell(cell: Cell, base: ControllerConfig, seed: int = 0) -> CellResult:
         return CellResult(cell, "failed", message=f"{type(err).__name__}: {err}")
 
 
-def _worker(args: tuple) -> tuple[tuple, CellResult]:
-    key, cell, base, seed = args
-    return key, run_cell(cell, base, seed)
-
-
 def grid_workers(requested: int | None = None) -> int:
     cap = os.environ.get(THREADS_ENV)
     n = requested if requested is not None else (os.cpu_count() or 1)
     if cap:
-        n = min(n, max(1, int(cap)))
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
     return max(1, n)
 
 
@@ -287,26 +266,14 @@ def run_experiment_grid(
     seed: int = 0,
     max_workers: int | None = None,
 ) -> list[CellResult]:
-    """Evaluate every grid cell; identical effective configurations run once."""
+    """Evaluate every grid cell; repeated cells run once and share their result."""
     cells = grid.cells()
-    unique: dict[tuple, Cell] = {}
-    for cell in cells:
-        unique.setdefault(cell.effective_key(), cell)
-
+    jobs = sorted(set(cells))
     workers = grid_workers(max_workers)
-    results: dict[tuple, CellResult] = {}
-    jobs = [(key, cell, base, seed) for key, cell in sorted(unique.items())]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, res in pool.map(_worker, jobs):
-                results[key] = res
+            done = list(pool.map(run_cell, jobs, repeat(base), repeat(seed)))
     else:
-        for job in jobs:
-            key, res = _worker(job)
-            results[key] = res
-
-    out = []
-    for cell in cells:
-        res = results[cell.effective_key()]
-        out.append(CellResult(cell, res.status, res.report, res.per_run_e, res.message))
-    return out
+        done = [run_cell(cell, base, seed) for cell in jobs]
+    results = dict(zip(jobs, done))
+    return [results[cell] for cell in cells]

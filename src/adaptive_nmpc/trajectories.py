@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -27,8 +26,6 @@ from .dynamics import (
     CONTROL_DIM,
     GRAVITY,
     STATE_DIM,
-    Control,
-    State,
     _quat_conjugate,
     _quat_multiply,
     _quat_normalize,
@@ -57,13 +54,6 @@ PRESET_NAMES = ("agg1", "agg2", "circle", "diamond")
 
 
 @dataclass(frozen=True)
-class ReferencePoint:
-    t: float
-    x_r: State
-    u_r: Control
-
-
-@dataclass(frozen=True)
 class ReferenceWindow:
     """Contiguous slice of a reference trajectory, as raw arrays."""
 
@@ -88,13 +78,6 @@ class ReferenceTrajectory:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    @cached_property
-    def points(self) -> list[ReferencePoint]:
-        return [
-            ReferencePoint(float(t), State.from_vector(x), Control.from_vector(u))
-            for t, x, u in zip(self.ts, self.xs, self.us)
-        ]
 
     def window(self, start: int, length: int) -> ReferenceWindow:
         """Points ``start .. start+length-1``, holding the final point past the end."""

@@ -21,7 +21,6 @@ weight-normalized problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -112,14 +111,6 @@ class ShootingProblem:
     def horizon(self) -> int:
         return len(self.stages)
 
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        """Per-stage gradient vectors w_k = diag(q, r) l_k (state block stacked on control block)."""
-        return [
-            np.concatenate([self.qs[k] * self.lx[k], self.rs[k] * self.lu[k]])
-            for k in range(self.horizon)
-        ]
-
 
 @dataclass
 class QpSolution:
@@ -134,23 +125,10 @@ class QpSolution:
         return max(float(np.abs(self.dx).max()), float(np.abs(self.du).max()))
 
 
-def _coerce_weights(weights, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(weights, WeightVector):
-        weights = [weights] * (horizon + 1)
-    if len(weights) not in (horizon, horizon + 1):
-        raise ValueError(f"need {horizon + 1} weight vectors, got {len(weights)}")
-    for w in weights:
-        w.validate()
-    last = weights[-1]
-    qs = np.stack([w.q for w in weights] + ([last.q] if len(weights) == horizon else []))
-    rs = np.stack([w.r for w in weights[:horizon]])
-    return qs, rs
-
-
 def build_qp(
     pred: PredictionTrajectory,
     refs: ReferenceWindow,
-    weights: WeightVector | Sequence[WeightVector],
+    weights: WeightVector,
     x_meas: State | np.ndarray,
     limits: ControlLimits | None,
     alpha: float,
@@ -161,6 +139,7 @@ def build_qp(
 
     Defects are ``model.step(x_k, u_k, dt) - x_{k+1}`` on the prediction;
     Jacobians are those of the same discrete map, evaluated stage-wise.
+    The weights apply to every stage.
     """
     N = pred.horizon
     if len(refs) < N + 1:
@@ -173,13 +152,13 @@ def build_qp(
     defects = x_next - pred.xs[1:]
     stages = [LinearizedStage(A[k], B[k], defects[k]) for k in range(N)]
 
-    qs, rs = _coerce_weights(weights, N)
+    weights.validate()
     return ShootingProblem(
         stages=stages,
         lx=pred.xs - refs.xs[: N + 1],
         lu=pred.us - refs.us[:N],
-        qs=qs,
-        rs=rs,
+        qs=np.tile(weights.q, (N + 1, 1)),
+        rs=np.tile(weights.r, (N, 1)),
         initial_gap=x_meas_vec - pred.xs[0],
         u_pred=pred.us.copy(),
         limits=limits,
@@ -374,14 +353,6 @@ def solve_qp(
     else:
         raise QpSolveError(f"active-set loop did not converge within {max_iter} iterations", res)
     raise QpSolveError(f"KKT residual {res:.3e} exceeds tolerance {tol:.1e}", res)
-
-
-def qp_objective(prob: ShootingProblem, dx: np.ndarray, du: np.ndarray) -> float:
-    """Objective value sum_k (dz_k + alpha l_k)^T diag(q, r) dz_k, terminal included."""
-    qs = np.maximum(prob.qs, Q_MIN)
-    val = float(np.sum((dx + prob.alpha * prob.lx) * qs * dx))
-    val += float(np.sum((du + prob.alpha * prob.lu) * prob.rs * du))
-    return val
 
 
 def apply_step(

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from adaptive_nmpc.transcription import Q_MIN
+
 
 def quat_to_rotmat(q):
     """Textbook scalar-first quaternion to 3x3 rotation matrix."""
@@ -102,6 +104,14 @@ def dense_equality_qp(A, B, defects, qs, rs, qlin, rlin, gap):
     z = solve_dense_kkt(*dense_stage_qp(A, B, defects, qs, rs, qlin, rlin, gap))
     off = (N + 1) * n
     return z[:off].reshape(N + 1, n), z[off:].reshape(N, m)
+
+
+def qp_objective(prob, dx, du):
+    """Objective value sum_k (dz_k + alpha l_k)^T diag(q, r) dz_k, terminal included."""
+    qs = np.maximum(prob.qs, Q_MIN)
+    val = float(np.sum((dx + prob.alpha * prob.lx) * qs * dx))
+    val += float(np.sum((du + prob.alpha * prob.lu) * prob.rs * du))
+    return val
 
 
 def random_shooting_data(rng, N, n=10, m=4):

@@ -3,7 +3,6 @@ import pytest
 
 from adaptive_nmpc.adaptation import (
     AdaptConfig,
-    ErrorAggregate,
     compute_v,
     update_weights,
     update_weights_exp,
@@ -22,6 +21,8 @@ class TestAdaptConfig:
             AdaptConfig(sub_horizon=0)
         with pytest.raises(ValueError):
             AdaptConfig(variant="quadratic")
+        with pytest.raises(ValueError):
+            AdaptConfig(variant="linear_projected")
 
     def test_denominator(self):
         assert AdaptConfig(lam=0.5, gamma=1.0).denom == 2.0
@@ -77,12 +78,6 @@ class TestLinearUpdate:
                 qi = minimize_scalar_convex(lambda t: lam * t * t - v[i] * t, -10.0, 10.0)
                 assert abs(q[i] - qi) < 1e-8
 
-    def test_projected_variant_clips_at_zero(self):
-        v = np.array([-1.0, 2.0] + [0.0] * 8)
-        q = update_weights_linear(v, AdaptConfig(lam=0.5, variant="linear_projected"))
-        assert q[0] == 0.0 and q[1] == 2.0
-        assert np.all(q >= 0.0)
-
     def test_stationarity_of_unprojected_minimizer(self):
         rng = np.random.default_rng(2)
         lam = 0.8
@@ -91,11 +86,6 @@ class TestLinearUpdate:
             v = rng.standard_normal(10)
             q = update_weights_linear(v, cfg)
             assert np.abs(2 * lam * q - v).max() < 1e-10
-
-    def test_accepts_error_aggregate(self):
-        agg = ErrorAggregate(np.ones(10))
-        q = update_weights_linear(agg, AdaptConfig(lam=0.5, variant="linear"))
-        np.testing.assert_array_equal(q, np.ones(10))
 
 
 class TestExpUpdate:
@@ -130,7 +120,7 @@ class TestExpUpdate:
 
 
 class TestVariantProperties:
-    @pytest.mark.parametrize("variant", ["linear", "linear_projected", "exponential"])
+    @pytest.mark.parametrize("variant", ["linear", "exponential"])
     def test_monotone_in_v_sum(self, variant):
         rng = np.random.default_rng(4)
         cfg = AdaptConfig(lam=1.0, variant=variant)
@@ -152,7 +142,7 @@ class TestVariantProperties:
             update_weights_linear(v, AdaptConfig(lam=1.0, variant="linear")),
         )
 
-    @pytest.mark.parametrize("variant", ["linear_projected", "exponential"])
+    @pytest.mark.parametrize("variant", ["exponential"])
     def test_non_negative_outputs(self, variant):
         rng = np.random.default_rng(5)
         cfg = AdaptConfig(lam=0.7, variant=variant)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from adaptive_nmpc import cli
 from adaptive_nmpc.cli import main, read_simlog_csv, render_table
 from adaptive_nmpc.harness import Cell, CellResult, MetricsReport
 from adaptive_nmpc.trajectories import preset
@@ -116,6 +117,34 @@ class TestConfigFile:
         rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("noise_sigma", True),  # a bool is not a float
+            ("horizon", "19"),  # a str is not an int
+            ("horizon", 19.0),  # nor is a float
+            ("seed", False),  # nor is a bool
+            ("lambda", "2.5"),
+            ("trajectory", 1),  # an int is not a str
+        ],
+    )
+    def test_wrong_value_type_rejected(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "x"
+        rc = main(["simulate", "--config", str(cfg_path), "--horizon", "8", "--out", str(out)])
+        assert rc == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_int_accepted_for_float_key(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lambda": 2, "noise_sigma": 0}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--horizon", "8", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["lambda"] == 2
+
 
 class TestPlotdata:
     def _make_log(self, tmp_path, name, seed=0):
@@ -200,6 +229,31 @@ class TestTableCommand:
         header = json.loads(report.splitlines()[0][len("# config:") :])
         assert header["runs"] == 1
         assert (out / "table3.txt").exists()
+
+    @pytest.mark.parametrize(
+        "table, file_runs, flag_runs, expected",
+        [(3, None, None, 15), (3, 2, None, 2), (3, 2, 3, 3), (3, None, 4, 4), (1, None, None, 1)],
+    )
+    def test_runs_precedence(self, tmp_path, monkeypatch, table, file_runs, flag_runs, expected):
+        grids = []
+
+        def fake_grid(grid, base, seed=0, max_workers=None):
+            grids.append(grid)
+            return [CellResult(c, "ok", MetricsReport(e=1.0, tv=1.0, e_r=1.0), [1.0]) for c in grid.cells()]
+
+        monkeypatch.setattr(cli, "run_experiment_grid", fake_grid)
+        out = tmp_path / "t"
+        args = ["table", "--table", str(table), "--out", str(out)]
+        if file_runs is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"runs": file_runs}))
+            args += ["--config", str(cfg_path)]
+        if flag_runs is not None:
+            args += ["--runs", str(flag_runs)]
+        assert main(args) == 0
+        assert [g.runs for g in grids] == [expected]
+        report = (out / f"table{table}_report.csv").read_text()
+        assert json.loads(report.splitlines()[0][len("# config:") :])["runs"] == expected
 
     def test_table2_marks_skipped_cells(self, tmp_path):
         out = tmp_path / "t2"

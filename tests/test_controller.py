@@ -106,6 +106,23 @@ class TestTick:
         manual = np.exp(np.minimum(v / 2.0, cfg.adapt.exp_clamp))
         np.testing.assert_allclose(diag.weights_q, manual, atol=1e-12)
 
+    def test_linear_weights_clipped_at_zero(self, monkeypatch):
+        # the controller projects the plain linear minimizer v_sum / (2 lam + gamma) onto q >= 0
+        ns = 4
+        v_sum = np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, -1e-9, 7.0, -4.0, 0.5])
+        per_stage = np.vstack([v_sum, np.zeros((ns - 1, 10))])
+        monkeypatch.setattr(controller, "compute_v", lambda resid, lx, alpha: per_stage)
+        win = hover_window(N + 2)
+        adapt = AdaptConfig(lam=0.5, gamma=0.5, sub_horizon=ns, variant="linear")
+        cfg = ControllerConfig(horizon=N, adapt=adapt)
+        x_meas = win.xs[0].copy()
+        x_meas[0] += 0.1
+        _, st2, diag = nmpc_tick(init_controller(cfg, win), x_meas, win, cfg)
+        expected = np.array([max(v / 1.5, 0.0) for v in v_sum])
+        np.testing.assert_array_equal(diag.weights_q, expected)
+        np.testing.assert_array_equal(st2.weights.q, expected)
+        assert not diag.failed
+
     def test_determinism(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=0.8, sub_horizon=4))

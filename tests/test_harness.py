@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from adaptive_nmpc import harness
 from adaptive_nmpc.adaptation import AdaptConfig
+from adaptive_nmpc.cli import RunConfig, table_grid
 from adaptive_nmpc.controller import ControllerConfig
 from adaptive_nmpc.dynamics import ControlLimits, State, hover_state
 from adaptive_nmpc.harness import (
     Cell,
+    CellResult,
     GridSpec,
+    MetricsReport,
     NoiseConfig,
     SimLog,
+    grid_workers,
     inject_noise,
     metric_total_error,
     metric_tv,
@@ -55,7 +60,7 @@ class TestClosedLoop:
     def test_sigma_zero_noise_equals_no_noise(self):
         traj = preset("diamond")
         cfg = ControllerConfig(adapt=AdaptConfig())
-        log_a = run_closed_loop(traj, cfg, noise=NoiseConfig(sigma=0.0, seed=5), seed=5)
+        log_a = run_closed_loop(traj, cfg, noise=NoiseConfig(sigma=0.0), seed=5)
         log_b = run_closed_loop(traj, cfg, noise=None, seed=5)
         np.testing.assert_array_equal(log_a.x_true, log_b.x_true)
         np.testing.assert_array_equal(log_a.u_applied, log_b.u_applied)
@@ -63,8 +68,8 @@ class TestClosedLoop:
     def test_reproducible_under_fixed_seed(self):
         traj = preset("agg1")
         cfg = ControllerConfig(adapt=AdaptConfig())
-        log_a = run_closed_loop(traj, cfg, noise=NoiseConfig(sigma=2.0, seed=3), seed=3)
-        log_b = run_closed_loop(traj, cfg, noise=NoiseConfig(sigma=2.0, seed=3), seed=3)
+        log_a = run_closed_loop(traj, cfg, noise=NoiseConfig(sigma=2.0), seed=3)
+        log_b = run_closed_loop(traj, cfg, noise=NoiseConfig(sigma=2.0), seed=3)
         np.testing.assert_array_equal(log_a.x_true, log_b.x_true)
         np.testing.assert_array_equal(log_a.x_meas, log_b.x_meas)
 
@@ -214,9 +219,31 @@ class TestGrid:
             assert ra.report.tv == rb.report.tv
 
     def test_thread_env_caps_workers(self, monkeypatch):
-        from adaptive_nmpc.harness import grid_workers
-
         monkeypatch.setenv("ADAPTIVE_NMPC_THREADS", "1")
         assert grid_workers(8) == 1
         monkeypatch.delenv("ADAPTIVE_NMPC_THREADS")
         assert grid_workers(3) == 3
+        monkeypatch.setenv("ADAPTIVE_NMPC_THREADS", "two")
+        with pytest.raises(ValueError, match="ADAPTIVE_NMPC_THREADS must be an integer, got 'two'"):
+            grid_workers(2)
+
+    def test_repeated_cells_run_once_and_share_result(self, monkeypatch):
+        calls = []
+
+        def fake_run_cell(cell, base, seed=0):
+            calls.append(cell)
+            e = float(len(calls))  # a distinct error per job
+            return CellResult(cell, "ok", MetricsReport(e=e, tv=0.0), [e])
+
+        monkeypatch.setattr(harness, "run_cell", fake_run_cell)
+        grid = table_grid(1, RunConfig())
+        results = run_experiment_grid(grid, ControllerConfig(), max_workers=1)
+        assert len(calls) == 52 and len(set(calls)) == 52
+        assert len(results) == 64
+        assert calls == sorted(calls)
+        assert [r.cell for r in results] == grid.cells()
+        fixed = [r for r in results if r.cell.trajectory == "agg1" and r.cell.mode == "fixed"]
+        assert len(fixed) == 4
+        assert len({r.report.e for r in fixed}) == 1
+        adaptive_e = [r.report.e for r in results if r.cell.mode == "adaptive"]
+        assert len(set(adaptive_e)) == len(adaptive_e)

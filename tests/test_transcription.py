@@ -18,7 +18,6 @@ from adaptive_nmpc.transcription import (
     build_qp,
     default_weights,
     _kkt_residual,
-    qp_objective,
     solve_qp,
 )
 from helpers import (
@@ -26,6 +25,7 @@ from helpers import (
     dense_equality_qp,
     enumerated_box_qp,
     kkt_residual_loops,
+    qp_objective,
     random_shooting_data,
 )
 
@@ -106,16 +106,20 @@ class TestBuildQp:
         with pytest.raises(ValueError):
             build_qp(pred, win, default_weights(), win.xs[0], WIDE, 1.0, DT)
 
-    def test_gradients_property(self):
+    def test_weights_apply_to_every_stage(self):
         N = 3
         win = hover_window(N + 1)
         pred = PredictionTrajectory(win.xs + 0.1, win.us[:N] + 0.2)
-        w = WeightVector(2.0 * np.ones(10), 3.0 * np.ones(4))
+        w = WeightVector(np.arange(1.0, 11.0), np.arange(11.0, 15.0))
         prob = build_qp(pred, win, w, win.xs[0], WIDE, 1.0, DT)
-        grads = prob.gradients
-        assert len(grads) == N
-        np.testing.assert_allclose(grads[0][:10], 2.0 * prob.lx[0])
-        np.testing.assert_allclose(grads[0][10:], 3.0 * prob.lu[0])
+        assert prob.qs.shape == (N + 1, 10)
+        assert prob.rs.shape == (N, 4)
+        for row in prob.qs:
+            np.testing.assert_array_equal(row, w.q)
+        for row in prob.rs:
+            np.testing.assert_array_equal(row, w.r)
+        with pytest.raises(ValueError):
+            build_qp(pred, win, WeightVector(-w.q, w.r), win.xs[0], WIDE, 1.0, DT)
 
 
 class TestSolveQp:
