@@ -24,21 +24,13 @@ from .controller import (
 )
 from .dynamics import (
     CONTROL_DIM,
-    DEFAULT_LIMITS,
     GRAVITY,
     QUADROTOR,
     STATE_DIM,
-    Control,
     ControlLimits,
     LinearizedStage,
     QuadrotorModel,
     State,
-    dynamics_deriv,
-    hover_control,
-    hover_state,
-    integrate_step,
-    linearize_discrete,
-    quat_rotate,
 )
 from .harness import (
     Cell,
@@ -72,7 +64,6 @@ from .transcription import (
     WeightVector,
     apply_step,
     build_qp,
-    default_weights,
     solve_qp,
 )
 

@@ -314,6 +314,7 @@ def table_grid(table: int, cfg: RunConfig) -> GridSpec:
             sub_horizons=TABLE1_SUB_HORIZONS,
             variant=_VARIANT_CLI_TO_INTERNAL[cfg.variant],
             runs=cfg.runs,
+            gamma=cfg.gamma,
         )
     if table == 2:
         return GridSpec(
@@ -323,6 +324,7 @@ def table_grid(table: int, cfg: RunConfig) -> GridSpec:
             sub_horizons=TABLE2_SUB_HORIZONS,
             variant=_VARIANT_CLI_TO_INTERNAL[cfg.variant],
             runs=cfg.runs,
+            gamma=cfg.gamma,
         )
     if table == 3:
         return GridSpec(
@@ -333,6 +335,7 @@ def table_grid(table: int, cfg: RunConfig) -> GridSpec:
             sigmas=TABLE_SIGMAS,
             variant=_VARIANT_CLI_TO_INTERNAL[cfg.variant],
             runs=cfg.runs,
+            gamma=cfg.gamma,
         )
     raise ValueError(f"table must be 1, 2 or 3, got {table}")
 
@@ -419,10 +422,9 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_run_flags(p: argparse.ArgumentParser, with_noise: bool = True) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by ``simulate`` and ``table``."""
     p.add_argument("--config", help="JSON config file (defaults < file < flags)")
-    p.add_argument("--trajectory", help="circle|diamond|agg1|agg2|file:<path>")
-    p.add_argument("--mode", choices=["fixed", "adaptive"])
     p.add_argument("--variant", choices=sorted(_VARIANT_CLI_TO_INTERNAL))
     p.add_argument("--lambda", dest="lam", type=float, help="weight-update regularization strength")
     p.add_argument("--gamma", type=float)
@@ -431,8 +433,6 @@ def _add_run_flags(p: argparse.ArgumentParser, with_noise: bool = True) -> None:
     p.add_argument("--alpha", type=float)
     p.add_argument("--alternations", type=int)
     p.add_argument("--dt", type=float)
-    if with_noise:
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory")
 
@@ -442,6 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run one closed-loop simulation")
+    p_sim.add_argument("--trajectory", help="circle|diamond|agg1|agg2|file:<path>")
+    p_sim.add_argument("--mode", choices=["fixed", "adaptive"])
+    p_sim.add_argument("--noise-sigma", dest="noise_sigma", type=float)
     _add_run_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

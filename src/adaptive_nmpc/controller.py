@@ -25,13 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adaptation import AdaptConfig, compute_v, update_weights
-from .dynamics import (
-    QUADROTOR,
-    Control,
-    ControlLimits,
-    QuadrotorModel,
-    State,
-)
+from .dynamics import QUADROTOR, ControlLimits, QuadrotorModel
 from .trajectories import ReferenceWindow
 from .transcription import (
     PredictionTrajectory,
@@ -137,11 +131,11 @@ def _shift_rows(rows: np.ndarray) -> np.ndarray:
 
 def nmpc_tick(
     state: ControllerState,
-    x_meas: State | np.ndarray,
+    x_meas: np.ndarray,
     refs: ReferenceWindow,
     cfg: ControllerConfig,
-) -> tuple[Control, ControllerState, TickDiagnostics]:
-    """One control tick; returns the command, the next state, and diagnostics."""
+) -> tuple[np.ndarray, ControllerState, TickDiagnostics]:
+    """One control tick; returns the clamped ``(4,)`` command, the next state, and diagnostics."""
     if len(refs) < cfg.horizon + 1:
         raise ValueError(f"window of length {len(refs)} too short for horizon {cfg.horizon}")
     pred = state.pred if state.pred is not None else _pred_from_window(refs, cfg.horizon)
@@ -175,11 +169,11 @@ def nmpc_tick(
         diag.failed = True
         diag.message = str(err)
         diag.weights_q = weights.q.copy()
-        held = np.asarray(state.last_command if state.last_command is not None else refs.us[0], dtype=float)
+        held = np.array(state.last_command if state.last_command is not None else refs.us[0], dtype=float)
         command = cfg.limits.clamp(held) if cfg.limits is not None else held
         # prediction is stale after a failed solve: rebuild from refs next tick
         next_state = ControllerState(pred=None, weights=weights, last_command=command)
-        return Control.from_vector(command), next_state, diag
+        return command, next_state, diag
 
     command = cfg.limits.clamp(pred.us[0]) if cfg.limits is not None else pred.us[0].copy()
     diag.weights_q = weights.q.copy()
@@ -189,14 +183,14 @@ def nmpc_tick(
         last_command=command,
         active=_shift_rows(active),
     )
-    return Control.from_vector(command), next_state, diag
+    return command, next_state, diag
 
 
 def baseline_tick(
     state: ControllerState,
-    x_meas: State | np.ndarray,
+    x_meas: np.ndarray,
     refs: ReferenceWindow,
     cfg: ControllerConfig,
-) -> tuple[Control, ControllerState, TickDiagnostics]:
+) -> tuple[np.ndarray, ControllerState, TickDiagnostics]:
     """Fixed-weight tick: identical to :func:`nmpc_tick` with adaptation off."""
     return nmpc_tick(state, x_meas, refs, replace(cfg, adapt=None))

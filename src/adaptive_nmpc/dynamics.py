@@ -20,15 +20,14 @@ with ``g_W = [0, 0, -9.81]``. The discrete map is one classical RK4 step
 followed by quaternion renormalization; its Jacobians are propagated
 analytically through the RK4 stages and the renormalization.
 
-All private ``_``-prefixed helpers operate on raw arrays and broadcast over
-leading batch dimensions. The public API operates on the typed containers
-and validates its inputs.
+Every function operates on raw arrays and broadcasts over leading batch
+dimensions; :class:`QuadrotorModel` (``step``, ``discretize``, ``project``)
+is the interface the controller uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,11 +41,6 @@ _QUAT = slice(6, 10)
 
 _GRAVITY_VEC = np.array([0.0, 0.0, -GRAVITY])
 _EZ = np.array([0.0, 0.0, 1.0])
-
-
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr!r}")
 
 
 @dataclass(frozen=True)
@@ -69,35 +63,6 @@ class State:
     def from_vector(cls, vec: np.ndarray) -> "State":
         vec = np.asarray(vec, dtype=float).reshape(STATE_DIM)
         return cls(vec[_POS], vec[_VEL], vec[_QUAT])
-
-    def validate(self, quat_tol: float = 1e-9) -> None:
-        _require_finite("state", self.as_vector())
-        norm = float(np.linalg.norm(self.q_WB))
-        if abs(norm - 1.0) > quat_tol:
-            raise ValueError(f"quaternion norm {norm} deviates from 1 by more than {quat_tol}")
-
-
-@dataclass(frozen=True)
-class Control:
-    """Mass-normalized collective thrust plus body rates."""
-
-    c: float
-    omega_B: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "omega_B", np.asarray(self.omega_B, dtype=float).reshape(3))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([[self.c], self.omega_B])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "Control":
-        vec = np.asarray(vec, dtype=float).reshape(CONTROL_DIM)
-        return cls(vec[0], vec[1:])
-
-    def validate(self) -> None:
-        _require_finite("control", self.as_vector())
 
 
 @dataclass(frozen=True)
@@ -138,26 +103,18 @@ class ControlLimits:
     def clamp(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.lower, self.upper)
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        u = np.asarray(u)
-        return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
-
-
-DEFAULT_LIMITS = ControlLimits()
-
 
 @dataclass
 class LinearizedStage:
     """Discrete-time linearization at one shooting stage.
 
     ``A`` and ``B`` are Jacobians of the discrete step map (RK4 plus
-    renormalization); ``defect`` is the shooting continuity residual and
-    is filled by the transcription, not by ``linearize_discrete``.
+    renormalization); ``defect`` is the shooting continuity residual.
     """
 
     A: np.ndarray
     B: np.ndarray
-    defect: np.ndarray | None = None
+    defect: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -337,48 +294,6 @@ def _step_jacobians(x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray
     return x_next, A, B
 
 
-# ---------------------------------------------------------------------------
-# Public API
-# ---------------------------------------------------------------------------
-
-
-def quat_rotate(q: np.ndarray | Sequence[float], vec: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Rotate ``vec`` by the unit quaternion ``q`` (scalar-first)."""
-    q = np.asarray(q, dtype=float)
-    vec = np.asarray(vec, dtype=float)
-    _require_finite("quaternion", q)
-    _require_finite("vector", vec)
-    if abs(float(np.linalg.norm(q)) - 1.0) > 1e-9:
-        raise ValueError(f"quat_rotate requires a unit quaternion, got norm {np.linalg.norm(q)}")
-    return _rotate(q, vec)
-
-
-def dynamics_deriv(x: State, u: Control) -> np.ndarray:
-    """Continuous state derivative ``[dp, dv, dq]`` at (x, u)."""
-    x.validate()
-    u.validate()
-    return _deriv(x.as_vector(), u.as_vector())
-
-
-def integrate_step(x: State, u: Control, dt: float) -> State:
-    """One RK4 step of duration ``dt`` followed by quaternion renormalization."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    x.validate()
-    u.validate()
-    return State.from_vector(_step(x.as_vector(), u.as_vector(), dt))
-
-
-def linearize_discrete(x: State, u: Control, dt: float) -> LinearizedStage:
-    """Analytic Jacobians of the discrete step map at (x, u)."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    x.validate()
-    u.validate()
-    _, A, B = _step_jacobians(x.as_vector(), u.as_vector(), dt)
-    return LinearizedStage(A=A, B=B)
-
-
 class QuadrotorModel:
     """Discrete-time transition map consumed by the shooting transcription.
 
@@ -386,15 +301,8 @@ class QuadrotorModel:
     across threads.
     """
 
-    state_dim = STATE_DIM
-    control_dim = CONTROL_DIM
-
     def step(self, x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
         return _step(x, u, dt)
-
-    def jacobians(self, x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        _, A, B = _step_jacobians(x, u, dt)
-        return A, B
 
     def discretize(self, x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Step and Jacobians in one pass: returns (x_next, A, B)."""
@@ -405,11 +313,3 @@ class QuadrotorModel:
 
 
 QUADROTOR = QuadrotorModel()
-
-
-def hover_state(position: Sequence[float] = (0.0, 0.0, 0.0)) -> State:
-    return State(np.asarray(position, dtype=float), np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
-
-def hover_control() -> Control:
-    return Control(GRAVITY, np.zeros(3))

@@ -134,8 +134,7 @@ def run_closed_loop(
         if i == tau and sigma > 0.0:
             x_meas = inject_noise(State.from_vector(x_true), sigma, rng).as_vector()
         window = traj.window(i, cfg.horizon + 1)
-        command, state, diag = tick(state, x_meas, window, cfg)
-        u = command.as_vector()
+        u, state, diag = tick(state, x_meas, window, cfg)
 
         log.x_true[i] = x_true
         log.x_meas[i] = x_meas
@@ -166,6 +165,7 @@ class Cell:
     sigma: float = 0.0
     variant: str = "exponential"
     runs: int = 1
+    gamma: float = 0.0
 
     @property
     def valid(self) -> bool:
@@ -197,6 +197,7 @@ class GridSpec:
     sigmas: tuple[float, ...] = (0.0,)
     variant: str = "exponential"
     runs: int = 1
+    gamma: float = 0.0
 
     def cells(self) -> list[Cell]:
         out = []
@@ -204,18 +205,14 @@ class GridSpec:
             fixed = mode == "fixed"
             sub_horizons = (None,) if fixed else self.sub_horizons
             for lam, nh, ns, sig in product(self.lambdas, self.horizons, sub_horizons, self.sigmas):
-                out.append(Cell(traj, mode, None if fixed else lam, nh, ns, sig, self.variant, self.runs))
+                out.append(Cell(traj, mode, None if fixed else lam, nh, ns, sig, self.variant, self.runs, self.gamma))
         return out
 
 
 def cell_config(cell: Cell, base: ControllerConfig) -> ControllerConfig:
     adapt = None
     if cell.mode == "adaptive":
-        adapt = AdaptConfig(
-            lam=cell.lam if cell.lam is not None else 1.0,
-            sub_horizon=cell.sub_horizon if cell.sub_horizon is not None else 8,
-            variant=cell.variant,
-        )
+        adapt = AdaptConfig(lam=cell.lam, gamma=cell.gamma, sub_horizon=cell.sub_horizon, variant=cell.variant)
     return replace(base, horizon=cell.horizon, adapt=adapt)
 
 

@@ -118,7 +118,9 @@ class ReferenceTrajectory:
             raise ValueError("trajectory CSV needs at least 2 data rows")
         ts = data[:, 0]
         dt = float(ts[1] - ts[0])
-        return cls(ts, data[:, 1:11], data[:, 11:15], dt, name or Path(path).stem)
+        traj = cls(ts, data[:, 1:11], data[:, 11:15], dt, name or Path(path).stem)
+        traj.validate()
+        return traj
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .dynamics import (
     ControlLimits,
     LinearizedStage,
     QuadrotorModel,
-    State,
 )
 from .trajectories import ReferenceWindow
 
@@ -68,10 +67,6 @@ class WeightVector:
             raise ValueError(f"control weights must be positive, got {self.r}")
 
 
-def default_weights() -> WeightVector:
-    return WeightVector(np.ones(STATE_DIM), np.ones(CONTROL_DIM))
-
-
 @dataclass
 class PredictionTrajectory:
     """Current prediction: N+1 states and N controls as stacked rows."""
@@ -88,9 +83,6 @@ class PredictionTrajectory:
     @property
     def horizon(self) -> int:
         return self.us.shape[0]
-
-    def copy(self) -> "PredictionTrajectory":
-        return PredictionTrajectory(self.xs.copy(), self.us.copy())
 
 
 @dataclass
@@ -129,7 +121,7 @@ def build_qp(
     pred: PredictionTrajectory,
     refs: ReferenceWindow,
     weights: WeightVector,
-    x_meas: State | np.ndarray,
+    x_meas: np.ndarray,
     limits: ControlLimits | None,
     alpha: float,
     dt: float,
@@ -146,7 +138,6 @@ def build_qp(
         raise ValueError(f"reference window of length {len(refs)} too short for horizon {N}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    x_meas_vec = x_meas.as_vector() if isinstance(x_meas, State) else np.asarray(x_meas, dtype=float)
 
     x_next, A, B = model.discretize(pred.xs[:-1], pred.us, dt)
     defects = x_next - pred.xs[1:]
@@ -159,7 +150,7 @@ def build_qp(
         lu=pred.us - refs.us[:N],
         qs=np.tile(weights.q, (N + 1, 1)),
         rs=np.tile(weights.r, (N, 1)),
-        initial_gap=x_meas_vec - pred.xs[0],
+        initial_gap=x_meas - pred.xs[0],
         u_pred=pred.us.copy(),
         limits=limits,
         alpha=alpha,

@@ -9,7 +9,27 @@ import itertools
 
 import numpy as np
 
-from adaptive_nmpc.transcription import Q_MIN
+from adaptive_nmpc.dynamics import GRAVITY, State
+from adaptive_nmpc.transcription import Q_MIN, WeightVector
+
+
+def hover_state(position=(0.0, 0.0, 0.0)):
+    """Level, at rest, at ``position``."""
+    return State(np.asarray(position, dtype=float), np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def hover_control():
+    """Thrust that cancels gravity at level attitude, no body rates."""
+    return np.array([GRAVITY, 0.0, 0.0, 0.0])
+
+
+def default_weights():
+    return WeightVector(np.ones(10), np.ones(4))
+
+
+def in_box(limits, u, tol=1e-9):
+    """Whether every control in ``u`` lies within ``limits`` up to ``tol``."""
+    return bool(np.all(u >= limits.lower - tol) and np.all(u <= limits.upper + tol))
 
 
 def quat_to_rotmat(q):
@@ -163,16 +183,13 @@ class LinearModel:
             return x @ self.A.T + u @ self.B.T
         return self.A @ x + self.B @ u
 
-    def jacobians(self, x, u, dt):
+    def discretize(self, x, u, dt):
         batch = np.asarray(x).shape[:-1]
         return (
+            self.step(x, u, dt),
             np.broadcast_to(self.A, batch + self.A.shape).copy(),
             np.broadcast_to(self.B, batch + self.B.shape).copy(),
         )
-
-    def discretize(self, x, u, dt):
-        A, B = self.jacobians(x, u, dt)
-        return self.step(x, u, dt), A, B
 
     def project(self, x):
         return np.asarray(x, dtype=float).copy()

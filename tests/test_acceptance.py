@@ -12,7 +12,7 @@ import pytest
 
 from adaptive_nmpc.adaptation import AdaptConfig, update_weights_linear
 from adaptive_nmpc.controller import ControllerConfig, baseline_tick, init_controller
-from adaptive_nmpc.dynamics import QUADROTOR, ControlLimits, hover_state
+from adaptive_nmpc.dynamics import QUADROTOR, ControlLimits
 from adaptive_nmpc.harness import GridSpec, run_experiment_grid
 from adaptive_nmpc.trajectories import ReferenceWindow
 from adaptive_nmpc.transcription import WeightVector, solve_qp
@@ -20,6 +20,7 @@ from helpers import (
     LinearModel,
     central_difference_jacobians,
     dense_equality_qp,
+    hover_state,
     minimize_scalar_convex,
     random_control_vector,
     random_shooting_data,
@@ -116,7 +117,7 @@ def test_criterion_jacobians_and_quaternion_drift():
     for _ in range(200):
         x = random_state_vector(rng)
         u = random_control_vector(rng)
-        A, B = QUADROTOR.jacobians(x, u, dt)
+        _, A, B = QUADROTOR.discretize(x, u, dt)
         A_fd, B_fd = central_difference_jacobians(QUADROTOR.step, x, u, dt)
         worst = max(worst, float(np.abs(A - A_fd).max()), float(np.abs(B - B_fd).max()))
 
@@ -157,7 +158,7 @@ def test_criterion_baseline_lti_tracking():
         fixed_weights=WeightVector(q, r), limits=None, model=model,
     )
     cmd, _, _ = baseline_tick(init_controller(cfg, win), x0, win, cfg)
-    err = float(np.abs(cmd.as_vector() - u0_oracle).max())
+    err = float(np.abs(cmd - u0_oracle).max())
     report("baseline converges to Riccati tracking oracle on LTI toy", err < 1e-6, f"err {err:.2e}")
 
 

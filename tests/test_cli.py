@@ -7,7 +7,7 @@ import pytest
 from adaptive_nmpc import cli
 from adaptive_nmpc.cli import main, read_simlog_csv, render_table
 from adaptive_nmpc.harness import Cell, CellResult, MetricsReport
-from adaptive_nmpc.trajectories import preset
+from adaptive_nmpc.trajectories import ReferenceTrajectory, preset
 
 
 def file_hash(path):
@@ -80,6 +80,30 @@ class TestSimulate:
         assert rc == 0
         config, data = read_simlog_csv(out / "log.csv")
         assert data.shape[0] == len(preset("circle", dt=0.05))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            ("quaternion", "reference quaternions are not unit norm"),
+            ("nan", "trajectory contains non-finite values"),
+            ("time", "sample times are not uniformly spaced by dt"),
+        ],
+    )
+    def test_file_trajectory_validated(self, tmp_path, capsys, corrupt, message):
+        tr = preset("circle", dt=0.05)
+        ts, xs = tr.ts.copy(), tr.xs.copy()
+        if corrupt == "quaternion":
+            xs[5, 6:10] *= 1.01
+        elif corrupt == "nan":
+            xs[5] = np.nan
+        else:
+            ts[5:] += 0.01
+        traj_path = tmp_path / "tr.csv"
+        ReferenceTrajectory(ts, xs, tr.us, tr.dt).to_csv(traj_path)
+        rc = main(["simulate", "--trajectory", f"file:{traj_path}", "--horizon", "8", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "log.csv").exists()
 
     def test_runtime_failure_exit_code(self, tmp_path):
         rc = main(["simulate", "--trajectory", "file:/nonexistent.csv", "--out", str(tmp_path / "x")])
@@ -269,6 +293,16 @@ class TestTableCommand:
         skipped = [r for r in rows if r["status"] == "skipped"]
         assert {(r["N"], r["Ns"]) for r in skipped} == {("8", "14"), ("8", "18"), ("14", "18")}
         assert "skipped" in (out / "table2.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--mode", "adaptive"), ("--trajectory", "agg1"), ("--noise-sigma", "2.0")]
+    )
+    def test_rejects_flags_it_never_reads(self, tmp_path, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "run_experiment_grid", lambda *args, **kwargs: pytest.fail("table ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--table", "3", flag, value, "--out", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "t").exists()
 
     def test_invalid_table_id(self):
         with pytest.raises(SystemExit) as exc:

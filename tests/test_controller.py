@@ -11,17 +11,17 @@ from adaptive_nmpc.controller import (
     init_controller,
     nmpc_tick,
 )
-from adaptive_nmpc.dynamics import GRAVITY, ControlLimits, hover_control, hover_state
+from adaptive_nmpc.dynamics import GRAVITY, ControlLimits
 from adaptive_nmpc.trajectories import ReferenceWindow, preset
 from adaptive_nmpc.transcription import WeightVector, build_qp, solve_qp
-from helpers import LinearModel, dense_equality_qp
+from helpers import LinearModel, dense_equality_qp, hover_control, hover_state, in_box
 
 N = 10
 
 
 def hover_window(n, position=(1.0, -0.5, 2.0)):
     x = hover_state(position).as_vector()
-    u = hover_control().as_vector()
+    u = hover_control()
     return ReferenceWindow(np.tile(x, (n, 1)), np.tile(u, (n, 1)))
 
 
@@ -54,8 +54,7 @@ class TestInit:
         for name in ("agg1", "agg2", "circle", "diamond"):
             traj = preset(name, dt=cfg.dt)
             st = init_controller(cfg, traj.window(0, cfg.horizon + 1))
-            for u in st.pred.us:
-                assert cfg.limits.contains(u, tol=1e-9)
+            assert in_box(cfg.limits, st.pred.us)
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
@@ -68,8 +67,8 @@ class TestTick:
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
         st = init_controller(cfg, win)
         cmd, st2, diag = nmpc_tick(st, win.xs[0], win, cfg)
-        assert abs(cmd.c - GRAVITY) < 1e-6
-        np.testing.assert_allclose(cmd.omega_B, 0.0, atol=1e-6)
+        assert abs(cmd[0] - GRAVITY) < 1e-6
+        np.testing.assert_allclose(cmd[1:], 0.0, atol=1e-6)
         np.testing.assert_allclose(diag.weights_q, 1.0, atol=1e-12)
 
     def test_disabled_adaptation_equals_baseline(self):
@@ -80,7 +79,7 @@ class TestTick:
         cmd_a, _, _ = nmpc_tick(init_controller(cfg_none, win), x_meas, win, cfg_none)
         cfg_b = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
         cmd_b, _, _ = baseline_tick(init_controller(cfg_b, win), x_meas, win, cfg_b)
-        np.testing.assert_array_equal(cmd_a.as_vector(), cmd_b.as_vector())
+        np.testing.assert_array_equal(cmd_a, cmd_b)
 
     def test_offset_boosts_matching_weight_dimension(self):
         win = hover_window(N + 2)
@@ -132,7 +131,7 @@ class TestTick:
         for _ in range(2):
             st = init_controller(cfg, win)
             cmd, st2, diag = nmpc_tick(st, x_meas, win, cfg)
-            outs.append((cmd.as_vector(), st2.pred.xs.copy(), diag.weights_q.copy()))
+            outs.append((cmd, st2.pred.xs.copy(), diag.weights_q.copy()))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
         np.testing.assert_array_equal(outs[0][2], outs[1][2])
@@ -145,7 +144,7 @@ class TestTick:
         x_meas = win.xs[0].copy()
         x_meas[0:3] += [5.0, -4.0, 3.0]
         cmd, _, _ = nmpc_tick(st, x_meas, win, cfg)
-        assert lim.contains(cmd.as_vector(), tol=1e-12)
+        assert in_box(lim, cmd, tol=1e-12)
 
     def test_baseline_weights_bit_identical(self):
         win = hover_window(N + 2)
@@ -210,7 +209,7 @@ class TestWarmStart:
         x = traj.xs[0]
         for i in range(5):
             cmd, st, diag = nmpc_tick(st, x, traj.window(i, cfg.horizon + 1), cfg)
-            x = cfg.model.step(x, cmd.as_vector(), cfg.dt)
+            x = cfg.model.step(x, cmd, cfg.dt)
             last = calls[-1][2].active
             np.testing.assert_array_equal(st.active, np.vstack([last[1:], last[-1:]]))
             assert [r.sweeps for r in diag.rounds] == [sol.sweeps for _, _, sol in calls[-len(diag.rounds):]]
@@ -235,19 +234,12 @@ class TestWarmStart:
 
 class TestFailurePolicy:
     class BrokenModel:
-        state_dim = 10
-        control_dim = 4
-
         def step(self, x, u, dt):
             return np.asarray(x, dtype=float).copy()
 
-        def jacobians(self, x, u, dt):
-            batch = np.asarray(x).shape[:-1]
-            return np.full(batch + (10, 10), np.nan), np.full(batch + (10, 4), np.nan)
-
         def discretize(self, x, u, dt):
-            A, B = self.jacobians(x, u, dt)
-            return self.step(x, u, dt), A, B
+            batch = np.asarray(x).shape[:-1]
+            return self.step(x, u, dt), np.full(batch + (10, 10), np.nan), np.full(batch + (10, 4), np.nan)
 
         def project(self, x):
             return np.asarray(x, dtype=float).copy()
@@ -259,7 +251,7 @@ class TestFailurePolicy:
         st.last_command = np.array([12.0, 0.1, 0.2, 0.3])
         cmd, st2, diag = nmpc_tick(st, win.xs[0], win, cfg)
         assert diag.failed
-        np.testing.assert_array_equal(cmd.as_vector(), [12.0, 0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(cmd, [12.0, 0.1, 0.2, 0.3])
         assert st2.pred is None  # rebuilt from the reference window next tick
         assert st2.active is None  # and its QP starts with every control free
 
@@ -269,7 +261,24 @@ class TestFailurePolicy:
         st = init_controller(cfg, win)
         cmd, _, diag = nmpc_tick(st, win.xs[0], win, cfg)
         assert diag.failed
-        np.testing.assert_array_equal(cmd.as_vector(), win.us[0])
+        np.testing.assert_array_equal(cmd, win.us[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurement_holds_clamped_command(self, bad):
+        win = hover_window(N + 2)
+        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
+        st = init_controller(cfg, win)
+        st.last_command = np.array([30.0, 0.1, -0.2, 6.0])  # outside the default box
+        x_meas = win.xs[0].copy()
+        x_meas[0] = bad
+        cmd, st2, diag = nmpc_tick(st, x_meas, win, cfg)
+        assert diag.failed
+        assert "non-finite QP data in gap" in diag.message
+        np.testing.assert_array_equal(cmd, cfg.limits.clamp(st.last_command))
+        np.testing.assert_array_equal(cmd, [25.0, 0.1, -0.2, 5.0])
+        assert np.all(np.isfinite(cmd))
+        assert np.all(np.isfinite(diag.weights_q))
+        assert st2.pred is None
 
     def test_recovery_rebuilds_prediction(self):
         win = hover_window(N + 2)
@@ -313,7 +322,7 @@ class TestLtiTracking:
         )
         st = init_controller(cfg, win)
         cmd, _, _ = baseline_tick(st, x0, win, cfg)
-        assert np.abs(cmd.as_vector() - u0_oracle).max() < 1e-6
+        assert np.abs(cmd - u0_oracle).max() < 1e-6
 
 
 class TestConfigValidation:

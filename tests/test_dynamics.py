@@ -1,21 +1,11 @@
 import numpy as np
 import pytest
 
-from adaptive_nmpc.dynamics import (
-    GRAVITY,
-    QUADROTOR,
-    Control,
-    ControlLimits,
-    State,
-    dynamics_deriv,
-    hover_control,
-    hover_state,
-    integrate_step,
-    linearize_discrete,
-    quat_rotate,
-)
+from adaptive_nmpc.dynamics import GRAVITY, QUADROTOR, ControlLimits, State, _deriv, _rotate
 from helpers import (
     central_difference_jacobians,
+    hover_control,
+    hover_state,
     quat_to_rotmat,
     random_control_vector,
     random_state_vector,
@@ -23,73 +13,61 @@ from helpers import (
 )
 
 QUAT_90X = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0, 0.0])
+FREE_FALL = np.zeros(4)
 
 
 class TestDynamicsDeriv:
     def test_hover_is_fixed_point(self):
-        deriv = dynamics_deriv(hover_state(), hover_control())
+        deriv = _deriv(hover_state().as_vector(), hover_control())
         assert np.array_equal(deriv, np.zeros(10))
 
     def test_free_fall(self):
-        deriv = dynamics_deriv(hover_state(), Control(0.0, np.zeros(3)))
+        deriv = _deriv(hover_state().as_vector(), FREE_FALL)
         np.testing.assert_allclose(deriv[3:6], [0.0, 0.0, -GRAVITY])
         assert np.array_equal(deriv[[0, 1, 2, 6, 7, 8, 9]], np.zeros(7))
 
     def test_rotated_thrust_vs_rotation_matrix_oracle(self):
-        x = State(np.zeros(3), np.zeros(3), QUAT_90X)
-        deriv = dynamics_deriv(x, Control(GRAVITY, np.zeros(3)))
+        x = State(np.zeros(3), np.zeros(3), QUAT_90X).as_vector()
+        deriv = _deriv(x, hover_control())
         expected = quat_to_rotmat(QUAT_90X) @ [0, 0, GRAVITY] + [0, 0, -GRAVITY]
         np.testing.assert_allclose(deriv[3:6], expected, atol=1e-12)
         np.testing.assert_allclose(deriv[3:6], [0.0, -GRAVITY, -GRAVITY], atol=1e-9)
 
-    def test_rejects_non_finite(self):
-        bad = State(np.array([np.nan, 0, 0]), np.zeros(3), [1, 0, 0, 0])
-        with pytest.raises(ValueError):
-            dynamics_deriv(bad, hover_control())
-
 
 class TestQuatRotate:
     def test_identity(self):
-        np.testing.assert_array_equal(quat_rotate([1, 0, 0, 0], [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(_rotate(np.array([1.0, 0, 0, 0]), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
     def test_90_deg_about_x(self):
-        np.testing.assert_allclose(quat_rotate(QUAT_90X, [0, 0, 1.0]), [0, -1.0, 0], atol=1e-12)
+        np.testing.assert_allclose(_rotate(QUAT_90X, np.array([0, 0, 1.0])), [0, -1.0, 0], atol=1e-12)
 
     def test_matches_matrix_oracle_and_preserves_norm(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             q = random_unit_quat(rng)
             v = rng.standard_normal(3)
-            got = quat_rotate(q, v)
+            got = _rotate(q, v)
             np.testing.assert_allclose(got, quat_to_rotmat(q) @ v, atol=1e-12)
             assert abs(np.linalg.norm(got) - np.linalg.norm(v)) < 1e-12
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            quat_rotate([1.0, 1.0, 0.0, 0.0], [1, 0, 0])
 
 
 class TestIntegrateStep:
     def test_hover_fixed_point(self):
-        x = hover_state((0.3, -0.2, 1.0))
-        out = integrate_step(x, hover_control(), 0.7)
-        np.testing.assert_allclose(out.as_vector(), x.as_vector(), atol=1e-12)
+        x = hover_state((0.3, -0.2, 1.0)).as_vector()
+        out = QUADROTOR.step(x, hover_control(), 0.7)
+        np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_free_fall_closed_form(self):
-        out = integrate_step(hover_state(), Control(0.0, np.zeros(3)), 0.1)
-        np.testing.assert_allclose(out.v_WB[2], -0.981, atol=1e-9)
-        np.testing.assert_allclose(out.p_WB[2], -0.04905, atol=1e-9)
+        out = QUADROTOR.step(hover_state().as_vector(), FREE_FALL, 0.1)
+        np.testing.assert_allclose(out[5], -0.981, atol=1e-9)
+        np.testing.assert_allclose(out[2], -0.04905, atol=1e-9)
 
     def test_constant_rate_quaternion_propagation(self):
         # body z spin at 1 rad/s: closed form q = [cos(wt/2), 0, 0, sin(wt/2)]
         dt = 0.05
-        out = integrate_step(hover_state(), Control(GRAVITY, [0, 0, 1.0]), dt)
+        out = QUADROTOR.step(hover_state().as_vector(), np.array([GRAVITY, 0, 0, 1.0]), dt)
         expected = np.array([np.cos(dt / 2), 0.0, 0.0, np.sin(dt / 2)])
-        np.testing.assert_allclose(out.q_WB, expected, atol=1e-6)
-
-    def test_rejects_non_positive_dt(self):
-        with pytest.raises(ValueError):
-            integrate_step(hover_state(), hover_control(), 0.0)
+        np.testing.assert_allclose(out[6:10], expected, atol=1e-6)
 
     def test_quaternion_norm_over_10000_steps(self):
         x = hover_state().as_vector()
@@ -103,17 +81,17 @@ class TestLinearizeDiscrete:
     def test_small_dt_limit(self):
         # the map renormalizes the quaternion, so its dt->0 Jacobian is the
         # identity composed with the unit-sphere tangent projector I - q q^T
-        x = hover_state((1, 2, 3))
-        stage = linearize_discrete(x, hover_control(), 1e-8)
+        x = hover_state((1, 2, 3)).as_vector()
+        _, A, B = QUADROTOR.discretize(x, hover_control(), 1e-8)
         limit = np.eye(10)
-        limit[6:10, 6:10] -= np.outer(x.q_WB, x.q_WB)
-        assert np.abs(stage.A - limit).max() < 1e-6
-        assert np.abs(stage.B).max() < 1e-6
+        limit[6:10, 6:10] -= np.outer(x[6:10], x[6:10])
+        assert np.abs(A - limit).max() < 1e-6
+        assert np.abs(B).max() < 1e-6
 
     def test_hover_double_integrator_block(self):
         dt = 0.05
-        stage = linearize_discrete(hover_state(), hover_control(), dt)
-        np.testing.assert_allclose(stage.A[0:3, 3:6], dt * np.eye(3), atol=1e-9)
+        _, A, _ = QUADROTOR.discretize(hover_state().as_vector(), hover_control(), dt)
+        np.testing.assert_allclose(A[0:3, 3:6], dt * np.eye(3), atol=1e-9)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -122,7 +100,7 @@ class TestLinearizeDiscrete:
         for _ in range(200):
             x = random_state_vector(rng)
             u = random_control_vector(rng)
-            A, B = QUADROTOR.jacobians(x, u, dt)
+            _, A, B = QUADROTOR.discretize(x, u, dt)
             A_fd, B_fd = central_difference_jacobians(QUADROTOR.step, x, u, dt)
             worst = max(worst, np.abs(A - A_fd).max(), np.abs(B - B_fd).max())
         assert worst < 1e-5
@@ -142,8 +120,8 @@ class TestControlLimits:
         u = np.array([25.0, -4.0, 0.0, 2.0])
         clamped = lim.clamp(u)
         np.testing.assert_array_equal(clamped, [20.0, -3.0, 0.0, 2.0])
-        assert lim.contains(clamped)
-        assert not lim.contains(u)
+        assert np.all((lim.lower <= clamped) & (clamped <= lim.upper))
+        assert not np.all((lim.lower <= u) & (u <= lim.upper))
 
 
 class TestStateControlContainers:
@@ -151,11 +129,3 @@ class TestStateControlContainers:
         rng = np.random.default_rng(0)
         vec = random_state_vector(rng)
         assert np.array_equal(State.from_vector(vec).as_vector(), vec)
-
-    def test_control_vector_round_trip(self):
-        u = Control(12.5, [0.1, -0.2, 0.3])
-        assert np.array_equal(Control.from_vector(u.as_vector()).as_vector(), u.as_vector())
-
-    def test_state_validate_rejects_drifted_quaternion(self):
-        with pytest.raises(ValueError):
-            State(np.zeros(3), np.zeros(3), [1.0, 1e-3, 0, 0]).validate()

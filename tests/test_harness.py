@@ -5,7 +5,7 @@ from adaptive_nmpc import harness
 from adaptive_nmpc.adaptation import AdaptConfig
 from adaptive_nmpc.cli import RunConfig, table_grid
 from adaptive_nmpc.controller import ControllerConfig
-from adaptive_nmpc.dynamics import ControlLimits, State, hover_state
+from adaptive_nmpc.dynamics import ControlLimits, State
 from adaptive_nmpc.harness import (
     Cell,
     CellResult,
@@ -22,6 +22,7 @@ from adaptive_nmpc.harness import (
     run_experiment_grid,
 )
 from adaptive_nmpc.trajectories import preset
+from helpers import hover_state
 
 
 def random_log(rng, L=20):
@@ -56,6 +57,21 @@ class TestClosedLoop:
         assert d[0] == pytest.approx(1.0)
         diffs = np.diff(d[:10])
         assert np.all(diffs < 0.0)
+
+    def test_command_logged_as_returned(self, monkeypatch):
+        commands = []
+        baseline_tick = harness.baseline_tick
+
+        def tick(*args):
+            out = baseline_tick(*args)
+            commands.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(harness, "baseline_tick", tick)
+        log = run_closed_loop(preset("circle"), ControllerConfig(horizon=8))
+        assert len(commands) == len(log)
+        assert all(c.shape == (4,) and c.dtype == np.float64 for c in commands)
+        np.testing.assert_array_equal(log.u_applied, np.array(commands))
 
     def test_sigma_zero_noise_equals_no_noise(self):
         traj = preset("diamond")
@@ -201,6 +217,22 @@ class TestGrid:
         healthy = run_cell(cell, ControllerConfig(limits=tight))
         assert healthy.status == "ok"
         assert healthy.message == ""
+
+    @pytest.mark.parametrize("table", [1, 2, 3])
+    def test_table_gamma_reaches_the_controller(self, monkeypatch, table):
+        seen = []
+
+        def fake_run(traj, cfg, noise=None, seed=0, x0=None):
+            seen.append(cfg.adapt)
+            return random_log(np.random.default_rng(0))
+
+        monkeypatch.setattr(harness, "run_closed_loop", fake_run)
+        cells = table_grid(table, RunConfig(gamma=5.0, runs=1)).cells()
+        assert {c.gamma for c in cells} == {5.0}
+        adaptive = next(c for c in cells if c.mode == "adaptive" and c.valid)
+        assert run_cell(adaptive, ControllerConfig()).status == "ok"
+        assert seen[-1].gamma == 5.0
+        assert (seen[-1].lam, seen[-1].sub_horizon) == (adaptive.lam, adaptive.sub_horizon)
 
     def test_failed_cell_recorded_and_grid_continues(self):
         grid = GridSpec(trajectories=("circle", "nosuch"), modes=("fixed",), horizons=(8,))

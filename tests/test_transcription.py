@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptive_nmpc.dynamics import (
-    QUADROTOR,
-    ControlLimits,
-    LinearizedStage,
-    hover_control,
-    hover_state,
-)
+from adaptive_nmpc.dynamics import QUADROTOR, ControlLimits, LinearizedStage
 from adaptive_nmpc.trajectories import ReferenceWindow, preset
 from adaptive_nmpc.transcription import (
     PredictionTrajectory,
@@ -16,14 +10,16 @@ from adaptive_nmpc.transcription import (
     WeightVector,
     apply_step,
     build_qp,
-    default_weights,
     _kkt_residual,
     solve_qp,
 )
 from helpers import (
     LinearModel,
+    default_weights,
     dense_equality_qp,
     enumerated_box_qp,
+    hover_control,
+    hover_state,
     kkt_residual_loops,
     qp_objective,
     random_shooting_data,
@@ -35,7 +31,7 @@ WIDE = ControlLimits(c_min=0.0, c_max=1e9, omega_min=-1e9, omega_max=1e9)
 
 def hover_window(n, position=(0.0, 0.0, 1.0)):
     x = hover_state(position).as_vector()
-    u = hover_control().as_vector()
+    u = hover_control()
     return ReferenceWindow(np.tile(x, (n, 1)), np.tile(u, (n, 1)))
 
 
@@ -88,16 +84,14 @@ class TestBuildQp:
         np.testing.assert_array_equal(prob.initial_gap, expected)
 
     def test_defects_match_independent_recomputation(self):
-        from adaptive_nmpc.dynamics import Control, State, integrate_step
-
         traj = preset("agg1", dt=DT)
         N = 6
         win = traj.window(10, N + 1)
         pred = PredictionTrajectory(win.xs.copy(), win.us[:N].copy())
         prob = build_qp(pred, win, default_weights(), win.xs[0], WIDE, 1.0, DT)
         for k, stage in enumerate(prob.stages):
-            nxt = integrate_step(State.from_vector(pred.xs[k]), Control.from_vector(pred.us[k]), DT)
-            np.testing.assert_array_equal(stage.defect, nxt.as_vector() - pred.xs[k + 1])
+            nxt = QUADROTOR.step(pred.xs[k], pred.us[k], DT)
+            np.testing.assert_array_equal(stage.defect, nxt - pred.xs[k + 1])
 
     def test_short_window_rejected(self):
         N = 5
