@@ -64,11 +64,36 @@ _VARIANT_INTERNAL_TO_CLI = {v: k for k, v in _VARIANT_CLI_TO_INTERNAL.items()}
 #: JSON value types accepted for each RunConfig field type (ints are valid floats).
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
-TABLE_LAMBDAS = (0.01, 0.67, 1.67, 3.00)
-TABLE_HORIZONS = (8, 14, 19, 24)
+#: RunConfig fields whose config-file key and flag differ from the field name.
+_FIELD_KEYS = {"lam": "lambda"}
+
+#: RunConfig field a table can sweep -> (its GridSpec axis, its Cell attribute).
+_SWEEP_AXES = {"lam": ("lambdas", "lam"), "horizon": ("horizons", "horizon"), "noise_sigma": ("sigmas", "sigma")}
+
+
+@dataclass(frozen=True)
+class TableSpec:
+    """One benchmark sweep: the RunConfig field it sweeps and how its columns render."""
+
+    field: str
+    label: str  # column label of the rendered table
+    values: tuple
+    sub_horizons: tuple[int, ...] | None = None  # of the adaptive rows; None: the config's own
+    runs: int = 1  # default noise averaging runs
+
+    @property
+    def unread(self) -> frozenset[str]:
+        """RunConfig fields the table never reads: it runs every preset in both modes, noise only on Table 3."""
+        own = () if self.sub_horizons is None else ("sub_horizon",)
+        return frozenset(("trajectory", "mode", "noise_sigma", self.field, *own))
+
+
 TABLE_SIGMAS = (0.5, 2.0, 3.5, 5.0)
-TABLE1_SUB_HORIZONS = (2, 8, 12)
-TABLE2_SUB_HORIZONS = (8, 14, 18)
+TABLES = {
+    1: TableSpec("lam", "lambda", (0.01, 0.67, 1.67, 3.00), sub_horizons=(2, 8, 12)),
+    2: TableSpec("horizon", "N", (8, 14, 19, 24), sub_horizons=(8, 14, 18)),
+    3: TableSpec("noise_sigma", "sigma", TABLE_SIGMAS, runs=15),
+}
 
 
 @dataclass
@@ -90,8 +115,6 @@ class RunConfig:
     seed: int = 0
     out: str = "out"
 
-    _FILE_KEYS = {"lambda": "lam"}
-
     def validate(self) -> None:
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
@@ -105,25 +128,22 @@ class RunConfig:
             raise ValueError("runs must be >= 1")
 
     def echo(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        d.pop("out")  # destination path is not part of the experiment definition
-        return d
+        # the destination path is not part of the experiment definition
+        return {_FIELD_KEYS.get(k, k): v for k, v in asdict(self).items() if k != "out"}
 
     def controller_config(self) -> ControllerConfig:
-        adapt = None
-        if self.mode == "adaptive":
-            adapt = AdaptConfig(
-                lam=self.lam,
-                gamma=self.gamma,
-                sub_horizon=self.sub_horizon,
-                variant=_VARIANT_CLI_TO_INTERNAL[self.variant],
-            )
+        # built whatever the mode, so that a bad lambda, gamma or sub-horizon fails before any run
+        adapt = AdaptConfig(
+            lam=self.lam,
+            gamma=self.gamma,
+            sub_horizon=self.sub_horizon,
+            variant=_VARIANT_CLI_TO_INTERNAL[self.variant],
+        )
         return ControllerConfig(
             horizon=self.horizon,
             dt=self.dt,
             alpha=self.alpha,
-            adapt=adapt,
+            adapt=adapt if self.mode == "adaptive" else None,
             alternations=self.alternations,
         )
 
@@ -133,22 +153,35 @@ class RunConfig:
         return preset(self.trajectory, dt=self.dt)
 
 
-def resolve_config(args: argparse.Namespace, defaults: RunConfig | None = None) -> RunConfig:
-    """Apply precedence defaults < config file < explicit flags."""
+def resolve_config(
+    args: argparse.Namespace, defaults: RunConfig | None = None, unread: frozenset[str] = frozenset()
+) -> RunConfig:
+    """Apply precedence defaults < config file < explicit flags.
+
+    Setting a field in ``unread``, which the command never reads, by flag is a
+    usage error (exit 2) and by config key a ValueError.
+    """
+    for name in sorted(unread):
+        if getattr(args, name, None) is not None:
+            flag = "--" + _FIELD_KEYS.get(name, name).replace("_", "-")
+            print(f"error: argument {flag}: not read by this command", file=sys.stderr)
+            raise SystemExit(2)
     cfg = defaults if defaults is not None else RunConfig()
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path) as fh:
             data = json.load(fh)
-        types = {f.name: f.type for f in fields(RunConfig)}
+        by_key = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(RunConfig)}
         for key, value in data.items():
-            attr = RunConfig._FILE_KEYS.get(key, key)
-            if attr not in types:
+            f = by_key.get(key)
+            if f is None:
                 raise ValueError(f"unknown config key {key!r}")
+            if f.name in unread:
+                raise ValueError(f"config key {key!r} is not read by this command")
             # bool is an int subclass in Python, but JSON true/false is never a number here
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[attr]]):
-                raise ValueError(f"config key {key!r} must be of type {types[attr]}, got {value!r}")
-            setattr(cfg, attr, value)
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+                raise ValueError(f"config key {key!r} must be of type {f.type}, got {value!r}")
+            setattr(cfg, f.name, value)
     for f in fields(RunConfig):
         flag_val = getattr(args, f.name, None)
         if flag_val is not None:
@@ -239,12 +272,13 @@ def _cell_text(res: CellResult, noise: bool) -> str:
 
 def render_table(results: list[CellResult], columns: list, column_label: str, noise: bool = False) -> str:
     """Fixed-width text table mirroring the benchmark layout (one block per trajectory)."""
+    attr = next(_SWEEP_AXES[t.field][1] for t in TABLES.values() if t.label == column_label)
     by_key = {}
     rows_seen: dict[str, None] = {}
     for res in results:
         cell = res.cell
         row = "fixed" if cell.mode == "fixed" else f"Ns={cell.sub_horizon}"
-        col = cell.sigma if noise else (cell.lam if column_label == "lambda" else cell.horizon)
+        col = getattr(cell, attr)
         # a fixed-weight cell has no lambda, so it is the baseline of every lambda column
         for c in columns if col is None else [col]:
             by_key[(cell.trajectory, row, c)] = res
@@ -274,11 +308,11 @@ def render_table(results: list[CellResult], columns: list, column_label: str, no
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    controller_cfg = cfg.controller_config()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
     traj = cfg.load_trajectory()
-    controller_cfg = cfg.controller_config()
     noise = NoiseConfig(sigma=cfg.noise_sigma) if cfg.noise_sigma > 0 else None
     log = run_closed_loop(traj, controller_cfg, noise=noise, seed=cfg.seed)
 
@@ -305,64 +339,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def table_grid(table: int, cfg: RunConfig) -> GridSpec:
-    trajectories = tuple(PRESET_NAMES)
-    if table == 1:
-        return GridSpec(
-            trajectories=trajectories,
-            lambdas=TABLE_LAMBDAS,
-            horizons=(cfg.horizon,),
-            sub_horizons=TABLE1_SUB_HORIZONS,
-            variant=_VARIANT_CLI_TO_INTERNAL[cfg.variant],
-            runs=cfg.runs,
-            gamma=cfg.gamma,
-        )
-    if table == 2:
-        return GridSpec(
-            trajectories=trajectories,
-            lambdas=(cfg.lam,),
-            horizons=TABLE_HORIZONS,
-            sub_horizons=TABLE2_SUB_HORIZONS,
-            variant=_VARIANT_CLI_TO_INTERNAL[cfg.variant],
-            runs=cfg.runs,
-            gamma=cfg.gamma,
-        )
-    if table == 3:
-        return GridSpec(
-            trajectories=trajectories,
-            lambdas=(cfg.lam,),
-            horizons=(cfg.horizon,),
-            sub_horizons=(cfg.sub_horizon,),
-            sigmas=TABLE_SIGMAS,
-            variant=_VARIANT_CLI_TO_INTERNAL[cfg.variant],
-            runs=cfg.runs,
-            gamma=cfg.gamma,
-        )
-    raise ValueError(f"table must be 1, 2 or 3, got {table}")
+    spec = TABLES[table]
+    axes = {"lambdas": (cfg.lam,), "horizons": (cfg.horizon,)} | {_SWEEP_AXES[spec.field][0]: spec.values}
+    return GridSpec(tuple(PRESET_NAMES), sub_horizons=spec.sub_horizons or (cfg.sub_horizon,),
+                    variant=_VARIANT_CLI_TO_INTERNAL[cfg.variant], runs=cfg.runs, gamma=cfg.gamma, **axes)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, RunConfig(runs=15) if args.table == 3 else None)
+    spec = TABLES[args.table]
+    cfg = resolve_config(args, RunConfig(runs=spec.runs), spec.unread)
+    base = cfg.controller_config()
+    grid = table_grid(args.table, cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    results = run_experiment_grid(grid, base, seed=cfg.seed)
 
-    grid = table_grid(args.table, cfg)
-    results = run_experiment_grid(grid, cfg.controller_config(), seed=cfg.seed)
-
-    echo = cfg.echo()
-    echo["table"] = args.table
+    echo = {**cfg.echo(), "table": args.table}
     write_report_csv(results, out / f"table{args.table}_report.csv", echo)
 
-    if args.table == 1:
-        text = render_table(results, list(TABLE_LAMBDAS), "lambda")
-    elif args.table == 2:
-        text = render_table(results, list(TABLE_HORIZONS), "N")
-    else:
-        text = render_table(results, list(TABLE_SIGMAS), "sigma", noise=True)
+    text = render_table(results, list(spec.values), spec.label, noise=spec.field == "noise_sigma")
     text = _config_header(echo) + "\n" + text
     (out / f"table{args.table}.txt").write_text(text)
     print(text)
-    n_failed = sum(1 for r in results if r.status == "failed")
-    return 1 if n_failed else 0
+    return 1 if any(r.status == "failed" for r in results) else 0
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_tab = sub.add_parser("table", help="run one of the three benchmark sweeps")
-    p_tab.add_argument("--table", type=int, choices=[1, 2, 3], required=True)
+    p_tab.add_argument("--table", type=int, choices=sorted(TABLES), required=True)
     p_tab.add_argument("--runs", type=int, help="noise averaging runs (table 3 default: 15)")
     _add_run_flags(p_tab)
     p_tab.set_defaults(func=cmd_table)

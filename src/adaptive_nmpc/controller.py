@@ -68,6 +68,8 @@ class ControllerConfig:
             raise ValueError(f"horizon must be >= 2, got {self.horizon}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.alternations < 1:
             raise ValueError(f"alternations must be >= 1, got {self.alternations}")
         if self.adapt is not None and self.adapt.sub_horizon > self.horizon:

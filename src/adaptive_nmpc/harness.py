@@ -47,7 +47,6 @@ class SimLog:
     x_meas: np.ndarray  # (L, 10)
     u_applied: np.ndarray  # (L, 4)
     ref_xs: np.ndarray  # (L, 10)
-    ref_us: np.ndarray  # (L, 4)
     q_snapshot: np.ndarray  # (L, 10)
     kkt: np.ndarray  # (L,)
     failures: int = 0
@@ -124,7 +123,6 @@ def run_closed_loop(
         x_meas=np.zeros((L, 10)),
         u_applied=np.zeros((L, 4)),
         ref_xs=traj.xs.copy(),
-        ref_us=traj.us.copy(),
         q_snapshot=np.zeros((L, 10)),
         kkt=np.zeros(L),
     )
@@ -183,14 +181,13 @@ class CellResult:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cartesian grid over trajectories, modes, and sweep axes.
+    """Cartesian grid over trajectories, both modes, and sweep axes.
 
     Fixed cells are emitted once per (trajectory, lambda, N, sigma) position,
     with the sub-horizon axis collapsed and ``lam``/``sub_horizon`` set to None.
     """
 
     trajectories: tuple[str, ...]
-    modes: tuple[str, ...] = ("fixed", "adaptive")
     lambdas: tuple[float, ...] = (1.0,)
     horizons: tuple[int, ...] = (19,)
     sub_horizons: tuple[int | None, ...] = (8,)
@@ -201,7 +198,7 @@ class GridSpec:
 
     def cells(self) -> list[Cell]:
         out = []
-        for traj, mode in product(self.trajectories, self.modes):
+        for traj, mode in product(self.trajectories, ("fixed", "adaptive")):
             fixed = mode == "fixed"
             sub_horizons = (None,) if fixed else self.sub_horizons
             for lam, nh, ns, sig in product(self.lambdas, self.horizons, sub_horizons, self.sigmas):

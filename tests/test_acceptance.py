@@ -170,11 +170,12 @@ def _results_by_key(results):
     return table
 
 
+@pytest.mark.slow
 def test_criterion_table1_lambda_trend():
     t0 = time.time()
     lambdas = (0.67, 1.67, 3.0)
     grid = GridSpec(
-        trajectories=TRAJECTORIES, modes=("fixed", "adaptive"),
+        trajectories=TRAJECTORIES,
         lambdas=lambdas, horizons=(19,), sub_horizons=(2, 8, 12),
     )
     results = run_experiment_grid(grid, ControllerConfig(), seed=0, max_workers=WORKERS)
@@ -209,9 +210,10 @@ def test_criterion_table1_lambda_trend():
     )
 
 
+@pytest.mark.slow
 def test_criterion_table2_horizon_trend():
     grid = GridSpec(
-        trajectories=TRAJECTORIES, modes=("fixed", "adaptive"),
+        trajectories=TRAJECTORIES,
         lambdas=(1.0,), horizons=(8, 14, 19, 24), sub_horizons=(8, 14, 18),
     )
     results = run_experiment_grid(grid, ControllerConfig(), seed=0, max_workers=WORKERS)
@@ -235,10 +237,11 @@ def test_criterion_table2_horizon_trend():
     )
 
 
+@pytest.mark.slow
 def test_criterion_table3_noise_trend():
     sigmas = (0.5, 2.0, 3.5, 5.0)
     grid = GridSpec(
-        trajectories=TRAJECTORIES, modes=("fixed", "adaptive"),
+        trajectories=TRAJECTORIES,
         lambdas=(1.0,), horizons=(19,), sub_horizons=(8,), sigmas=sigmas, runs=15,
     )
     results = run_experiment_grid(grid, ControllerConfig(), seed=100, max_workers=WORKERS)
@@ -300,7 +303,6 @@ def test_criterion_metric_micro_oracles():
             x_meas=np.zeros((L, 10)),
             u_applied=rng.standard_normal((L, 4)),
             ref_xs=rng.standard_normal((L, 10)),
-            ref_us=np.zeros((L, 4)),
             q_snapshot=np.ones((L, 10)),
             kkt=np.zeros(L),
         )
@@ -323,7 +325,6 @@ def test_criterion_metric_micro_oracles():
         x_meas=np.zeros((L, 10)),
         u_applied=np.tile([9.81, 0, 0, 0], (L, 1)),
         ref_xs=np.zeros((L, 10)),
-        ref_us=np.zeros((L, 4)),
         q_snapshot=np.ones((L, 10)),
         kkt=np.zeros(L),
     )

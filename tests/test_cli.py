@@ -105,6 +105,12 @@ class TestSimulate:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x" / "log.csv").exists()
 
+    def test_fixed_mode_checks_adaptive_inputs(self, tmp_path, capsys):
+        rc = main(["simulate", "--mode", "fixed", "--lambda", "-1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "error: lam must be positive, got -1.0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_runtime_failure_exit_code(self, tmp_path):
         rc = main(["simulate", "--trajectory", "file:/nonexistent.csv", "--out", str(tmp_path / "x")])
         assert rc == 1
@@ -160,6 +166,13 @@ class TestConfigFile:
         assert rc == 1
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    def test_lambda_key_has_one_spelling(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lam": 2.5}))
+        rc = main(["simulate", "--config", str(cfg_path), "--horizon", "8", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "unknown config key 'lam'" in capsys.readouterr().err
 
     def test_int_accepted_for_float_key(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -224,6 +237,12 @@ class TestPlotdata:
 
 
 class TestTableCommand:
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        """Fail the test if the command reaches the grid."""
+        monkeypatch.setattr(cli, "run_experiment_grid", lambda *args, **kwargs: pytest.fail("table ran"))
+
+    @pytest.mark.slow
     def test_table1_report_has_64_cells(self, tmp_path):
         out = tmp_path / "t1"
         rc = main(["table", "--table", "1", "--horizon", "8", "--out", str(out)])
@@ -235,6 +254,7 @@ class TestTableCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 64  # 4 trajectories x 4 lambdas x (baseline + 3 sub-horizons)
 
+    @pytest.mark.slow
     def test_table3_small_runs_override(self, tmp_path):
         out = tmp_path / "t3"
         rc = main(
@@ -279,6 +299,7 @@ class TestTableCommand:
         report = (out / f"table{table}_report.csv").read_text()
         assert json.loads(report.splitlines()[0][len("# config:") :])["runs"] == expected
 
+    @pytest.mark.slow
     def test_table2_marks_skipped_cells(self, tmp_path):
         out = tmp_path / "t2"
         rc = main(["table", "--table", "2", "--out", str(out)])
@@ -297,12 +318,66 @@ class TestTableCommand:
     @pytest.mark.parametrize(
         "flag, value", [("--mode", "adaptive"), ("--trajectory", "agg1"), ("--noise-sigma", "2.0")]
     )
-    def test_rejects_flags_it_never_reads(self, tmp_path, monkeypatch, flag, value):
-        monkeypatch.setattr(cli, "run_experiment_grid", lambda *args, **kwargs: pytest.fail("table ran"))
+    def test_rejects_flags_it_never_reads(self, tmp_path, no_run, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--table", "3", flag, value, "--out", str(tmp_path / "t")])
         assert exc.value.code == 2
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize(
+        "table, flag, value",
+        [(1, "--lambda", "2.0"), (1, "--sub-horizon", "4"), (2, "--horizon", "8"), (2, "--sub-horizon", "4")],
+    )
+    def test_rejects_flags_its_table_never_reads(self, tmp_path, no_run, capsys, table, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--table", str(table), flag, value, "--out", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: not read by this command" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize(
+        "table, key, value",
+        [(t, *kv) for t in (1, 2, 3) for kv in (("trajectory", "agg1"), ("mode", "adaptive"), ("noise_sigma", 3.0))]
+        + [(1, "lambda", 2.0), (1, "sub_horizon", 4), (2, "horizon", 8), (2, "sub_horizon", 4)],
+    )
+    def test_rejects_config_keys_its_table_never_reads(self, tmp_path, no_run, capsys, table, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        rc = main(["table", "--table", str(table), "--config", str(cfg_path), "--out", str(tmp_path / "t")])
+        assert rc == 1
+        assert f"error: config key {key!r} is not read by this command" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lambda", "-1", "lam must be positive, got -1.0"),
+            ("--gamma", "-2", "gamma must be non-negative, got -2.0"),
+            ("--sub-horizon", "0", "sub_horizon must be >= 1, got 0"),
+            ("--alpha", "0", "alpha must be in (0, 1], got 0.0"),
+        ],
+    )
+    def test_checks_inputs_before_any_cell_runs(self, tmp_path, no_run, capsys, flag, value, message):
+        rc = main(["table", "--table", "3", flag, value, "--out", str(tmp_path / "t")])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("table, runs", [(1, 1), (2, 1), (3, 15)])
+    def test_default_config_header(self, tmp_path, monkeypatch, table, runs):
+        def fake_grid(grid, base, seed=0, max_workers=None):
+            return [CellResult(c, "ok", MetricsReport(e=1.0, tv=1.0, e_r=1.0), [1.0]) for c in grid.cells()]
+
+        monkeypatch.setattr(cli, "run_experiment_grid", fake_grid)
+        out = tmp_path / "t"
+        assert main(["table", "--table", str(table), "--out", str(out)]) == 0
+        header = (
+            '# config: {"alpha": 1.0, "alternations": 2, "dt": 0.05, "gamma": 0.0, "horizon": 19, "lambda": 1.0, '
+            f'"mode": "fixed", "noise_sigma": 0.0, "runs": {runs}, "seed": 0, "sub_horizon": 8, "table": {table}, '
+            '"trajectory": "circle", "variant": "exp"}'
+        )
+        for name in (f"table{table}_report.csv", f"table{table}.txt"):
+            assert (out / name).read_text().splitlines()[0] == header
 
     def test_invalid_table_id(self):
         with pytest.raises(SystemExit) as exc:

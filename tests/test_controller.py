@@ -335,3 +335,9 @@ class TestConfigValidation:
             ControllerConfig(alternations=0)
         with pytest.raises(ValueError):
             ControllerConfig(horizon=5, adapt=AdaptConfig(sub_horizon=6))
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+            ControllerConfig(alpha=alpha)
+        assert ControllerConfig(alpha=0.5).alpha == 0.5

@@ -32,7 +32,6 @@ def random_log(rng, L=20):
         x_meas=rng.standard_normal((L, 10)),
         u_applied=rng.standard_normal((L, 4)),
         ref_xs=rng.standard_normal((L, 10)),
-        ref_us=rng.standard_normal((L, 4)),
         q_snapshot=np.ones((L, 10)),
         kkt=np.zeros(L),
     )
@@ -179,7 +178,6 @@ class TestGrid:
     def test_table1_shape_is_64_cells(self):
         grid = GridSpec(
             trajectories=("agg1", "agg2", "circle", "diamond"),
-            modes=("fixed", "adaptive"),
             lambdas=(0.01, 0.67, 1.67, 3.0),
             sub_horizons=(2, 8, 12),
         )
@@ -235,14 +233,18 @@ class TestGrid:
         assert (seen[-1].lam, seen[-1].sub_horizon) == (adaptive.lam, adaptive.sub_horizon)
 
     def test_failed_cell_recorded_and_grid_continues(self):
-        grid = GridSpec(trajectories=("circle", "nosuch"), modes=("fixed",), horizons=(8,))
+        grid = GridSpec(trajectories=("circle", "nosuch"), horizons=(8,))
         results = run_experiment_grid(grid, ControllerConfig(horizon=8), max_workers=1)
-        statuses = {r.cell.trajectory: r.status for r in results}
-        assert statuses["circle"] == "ok"
-        assert statuses["nosuch"] == "failed"
+        statuses = {(r.cell.trajectory, r.cell.mode): r.status for r in results}
+        assert statuses == {
+            ("circle", "fixed"): "ok",
+            ("circle", "adaptive"): "ok",
+            ("nosuch", "fixed"): "failed",
+            ("nosuch", "adaptive"): "failed",
+        }
 
     def test_grid_deterministic_and_parallel_consistent(self):
-        grid = GridSpec(trajectories=("circle",), modes=("fixed", "adaptive"), horizons=(8,), sub_horizons=(4,))
+        grid = GridSpec(trajectories=("circle",), horizons=(8,), sub_horizons=(4,))
         a = run_experiment_grid(grid, ControllerConfig(horizon=8), seed=2, max_workers=1)
         b = run_experiment_grid(grid, ControllerConfig(horizon=8), seed=2, max_workers=2)
         assert [(r.cell, r.status) for r in a] == [(r.cell, r.status) for r in b]
