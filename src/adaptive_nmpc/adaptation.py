@@ -39,9 +39,9 @@ class AdaptConfig:
     exp_clamp: float = 2.0
 
     def __post_init__(self):
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
         if self.sub_horizon < 1:
             raise ValueError(f"sub_horizon must be >= 1, got {self.sub_horizon}")
@@ -64,8 +64,6 @@ def compute_v(dx_k: np.ndarray, l_k_state: np.ndarray, alpha: float) -> np.ndarr
 
 def update_weights_linear(v_sum, cfg: AdaptConfig) -> np.ndarray:
     """Closed-form minimizer of the weight objective."""
-    if cfg.denom <= 0.0:
-        raise ValueError(f"need 2*lam + gamma > 0, got {cfg.denom}")
     return np.asarray(v_sum, dtype=float) / cfg.denom
 
 

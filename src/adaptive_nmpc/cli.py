@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -55,6 +56,13 @@ SIMLOG_COLUMNS = (
     "kkt",
     *[f"q{i}" for i in range(10)],
 )
+
+#: plotdata's per-log files: file name -> {its column: the log.csv column it copies}
+PLOT_FILES = {
+    "path": {"x": "px", "y": "py", "z": "pz", "ref_x": "prx", "ref_y": "pry", "ref_z": "prz"},
+    "position_vs_t": {c: c for c in ("t", "px", "py", "pz", "prx", "pry", "prz")},
+    "controls_vs_t": {c: c for c in ("t", "c", "wx", "wy", "wz")},
+}
 
 REPORT_COLUMNS = ("trajectory", "variant", "lambda", "N", "Ns", "sigma", "e", "tv", "e_r", "status")
 
@@ -116,6 +124,9 @@ class RunConfig:
     out: str = "out"
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{_FIELD_KEYS.get(f.name, f.name)} must be finite, got {getattr(self, f.name)!r}")
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
         if self.variant not in _VARIANT_CLI_TO_INTERNAL:
@@ -126,6 +137,8 @@ class RunConfig:
             raise ValueError("noise-sigma must be non-negative")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def echo(self) -> dict:
         # the destination path is not part of the experiment definition
@@ -199,23 +212,23 @@ def _config_header(config: dict) -> str:
     return "# config: " + json.dumps(config, sort_keys=True)
 
 
-def write_simlog_csv(log: SimLog, path: Path, config: dict) -> None:
+def _write_csv(path: Path, config: dict, header, rows) -> None:
+    """Every CSV artifact: the ``# config:`` line, the column names, then the rows."""
     with open(path, "w", newline="") as fh:
         fh.write(_config_header(config) + "\n")
         writer = csv.writer(fh)
-        writer.writerow(SIMLOG_COLUMNS)
-        d = log.position_error
-        for i in range(len(log)):
-            row = [
-                log.ts[i],
-                *log.x_true[i, 0:3],
-                *log.ref_xs[i, 0:3],
-                *log.u_applied[i],
-                d[i],
-                log.kkt[i],
-                *log.q_snapshot[i],
-            ]
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _float_rows(cols: list[np.ndarray]) -> list[list[str]]:
+    """Side-by-side float columns as rows of round-trip text."""
+    return [[repr(v) for v in row] for row in np.column_stack(cols).tolist()]
+
+
+def write_simlog_csv(log: SimLog, path: Path, config: dict) -> None:
+    cols = [log.ts, log.x_true[:, 0:3], log.ref_xs[:, 0:3], log.u_applied, log.position_error, log.kkt, log.q_snapshot]
+    _write_csv(path, config, SIMLOG_COLUMNS, _float_rows(cols))
 
 
 def read_simlog_csv(path: Path) -> tuple[dict, np.ndarray]:
@@ -235,29 +248,24 @@ def read_simlog_csv(path: Path) -> tuple[dict, np.ndarray]:
     return config, data
 
 
+def _report_row(res: CellResult) -> list:
+    cell, rep = res.cell, res.report
+    return [
+        cell.trajectory,
+        "fixed" if cell.mode == "fixed" else _VARIANT_INTERNAL_TO_CLI[cell.variant],
+        "" if cell.lam is None else repr(float(cell.lam)),
+        cell.horizon,
+        "" if cell.sub_horizon is None else cell.sub_horizon,
+        repr(float(cell.sigma)),
+        "" if rep is None else repr(rep.e),
+        "" if rep is None else repr(rep.tv),
+        "" if rep is None or rep.e_r is None else repr(rep.e_r),
+        res.status,
+    ]
+
+
 def write_report_csv(results: list[CellResult], path: Path, config: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_config_header(config) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for res in results:
-            cell = res.cell
-            variant = "fixed" if cell.mode == "fixed" else _VARIANT_INTERNAL_TO_CLI[cell.variant]
-            rep = res.report
-            writer.writerow(
-                [
-                    cell.trajectory,
-                    variant,
-                    "" if cell.lam is None else repr(float(cell.lam)),
-                    cell.horizon,
-                    "" if cell.sub_horizon is None else cell.sub_horizon,
-                    repr(float(cell.sigma)),
-                    "" if rep is None else repr(rep.e),
-                    "" if rep is None else repr(rep.tv),
-                    "" if rep is None or rep.e_r is None else repr(rep.e_r),
-                    res.status,
-                ]
-            )
+    _write_csv(path, config, REPORT_COLUMNS, map(_report_row, results))
 
 
 def _cell_text(res: CellResult, noise: bool) -> str:
@@ -266,7 +274,7 @@ def _cell_text(res: CellResult, noise: bool) -> str:
     if res.status == "failed" or res.report is None:
         return "failed"
     if noise:
-        return f"{res.report.e_r if res.report.e_r is not None else res.report.e:.2f}"
+        return f"{res.report.e:.2f}"  # e_r, where set, equals e
     return f"{res.report.e:.2f} | {res.report.tv:.2f}"
 
 
@@ -307,7 +315,7 @@ def render_table(results: list[CellResult], columns: list, column_label: str, no
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, unread=frozenset({"runs"}))
     controller_cfg = cfg.controller_config()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -365,53 +373,44 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    logs = []
-    for path in args.log:
-        if not Path(path).exists():
+    paths = [Path(p) for p in args.log]
+    for path in paths:
+        if not path.exists():
             print(f"error: log file not found: {path}", file=sys.stderr)
             return 1
-        logs.append((Path(path), *read_simlog_csv(Path(path))))
-
-    def write_cols(name: str, header: list[str], cols: list[np.ndarray], config: dict) -> None:
-        with open(out / name, "w", newline="") as fh:
-            fh.write(_config_header(config) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in np.column_stack(cols):
-                writer.writerow([repr(float(v)) for v in row])
-
-    for path, config, data in logs:
-        stem = path.stem if len(logs) > 1 else ""
-        suffix = f"_{stem}" if stem else ""
-        t = data[:, 0]
-        write_cols(f"path{suffix}.csv", ["x", "y", "z", "ref_x", "ref_y", "ref_z"],
-                   [data[:, 1], data[:, 2], data[:, 3], data[:, 4], data[:, 5], data[:, 6]], config)
-        write_cols(f"position_vs_t{suffix}.csv", ["t", "px", "py", "pz", "prx", "pry", "prz"],
-                   [t, data[:, 1], data[:, 2], data[:, 3], data[:, 4], data[:, 5], data[:, 6]], config)
-        write_cols(f"controls_vs_t{suffix}.csv", ["t", "c", "wx", "wy", "wz"],
-                   [t, data[:, 7], data[:, 8], data[:, 9], data[:, 10]], config)
+    # each log is labelled by its file stem, or by its directory's name where stems repeat
+    stems = [p.stem for p in paths]
+    labels = [p.stem if stems.count(p.stem) == 1 else p.absolute().parent.name for p in paths]
+    clash = [str(p) for p, label in zip(paths, labels) if labels.count(label) > 1]
+    if clash:
+        print(f"error: logs {clash} share both file stem and directory name; cannot label them", file=sys.stderr)
+        return 1
+    logs = [(config, dict(zip(SIMLOG_COLUMNS, data.T))) for config, data in map(read_simlog_csv, paths)]
 
     if len(logs) > 1:
-        n_rows = {len(data) for _, _, data in logs}
+        n_rows = {len(cols["t"]) for _, cols in logs}
         if len(n_rows) != 1:
             print(f"error: logs have differing lengths {sorted(n_rows)}; cannot merge", file=sys.stderr)
             return 1
-        t0 = logs[0][2][:, 0]
-        for _, _, data in logs[1:]:
-            if not np.allclose(data[:, 0], t0, atol=1e-12):
-                print("error: logs have differing time bases; cannot merge", file=sys.stderr)
-                return 1
-        header = ["t"]
-        cols = [t0]
-        for path, _, data in logs:
-            for j, label in ((1, "px"), (2, "py"), (3, "pz"), (11, "d_i")):
-                header.append(f"{label}_{path.stem}")
-                cols.append(data[:, j])
-        header += ["prx", "pry", "prz"]
-        cols += [logs[0][2][:, 4], logs[0][2][:, 5], logs[0][2][:, 6]]
-        write_cols("comparison.csv", header, cols, logs[0][1])
+        t0 = logs[0][1]["t"]
+        if not all(np.allclose(cols["t"], t0, atol=1e-12) for _, cols in logs[1:]):
+            print("error: logs have differing time bases; cannot merge", file=sys.stderr)
+            return 1
+
+    out = Path(args.out or "out")
+    out.mkdir(parents=True, exist_ok=True)
+    for label, (config, cols) in zip(labels, logs):
+        suffix = f"_{label}" if len(logs) > 1 else ""
+        for name, columns in PLOT_FILES.items():
+            _write_csv(out / f"{name}{suffix}.csv", config, columns, _float_rows([cols[c] for c in columns.values()]))
+
+    if len(logs) > 1:
+        config, first = logs[0]
+        merged = {"t": first["t"]}
+        for label, (_, cols) in zip(labels, logs):
+            merged |= {f"{c}_{label}": cols[c] for c in ("px", "py", "pz", "d_i")}
+        merged |= {c: first[c] for c in ("prx", "pry", "prz")}
+        _write_csv(out / "comparison.csv", config, merged, _float_rows(list(merged.values())))
     print(f"plot data written to {out}/")
     return 0
 

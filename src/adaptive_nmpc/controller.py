@@ -66,7 +66,7 @@ class ControllerConfig:
     def __post_init__(self):
         if self.horizon < 2:
             raise ValueError(f"horizon must be >= 2, got {self.horizon}")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")

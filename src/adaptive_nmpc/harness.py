@@ -34,7 +34,7 @@ class NoiseConfig:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
 

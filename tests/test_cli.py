@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -5,13 +6,85 @@ import numpy as np
 import pytest
 
 from adaptive_nmpc import cli
-from adaptive_nmpc.cli import main, read_simlog_csv, render_table
-from adaptive_nmpc.harness import Cell, CellResult, MetricsReport
+from adaptive_nmpc.cli import main, read_simlog_csv, render_table, write_report_csv, write_simlog_csv
+from adaptive_nmpc.harness import Cell, CellResult, MetricsReport, SimLog
 from adaptive_nmpc.trajectories import ReferenceTrajectory, preset
 
 
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def read_text_columns(path):
+    """(config line, column names, {name: column as text}) of a CSV artifact."""
+    with open(path, newline="") as fh:
+        config = fh.readline()
+        header, *rows = csv.reader(fh)
+    return config, header, dict(zip(header, zip(*rows)))
+
+
+def random_log_csv(path, seed=0, L=6):
+    """A log.csv of random values, written by the simulate writer."""
+    rng = np.random.default_rng(seed)
+    log = SimLog(
+        ts=np.arange(L) * 0.05,
+        x_true=rng.standard_normal((L, 10)),
+        x_meas=rng.standard_normal((L, 10)),
+        u_applied=rng.standard_normal((L, 4)),
+        ref_xs=rng.standard_normal((L, 10)),
+        q_snapshot=rng.random((L, 10)),
+        kkt=rng.random(L),
+    )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_simlog_csv(log, path, {"seed": seed})
+    return path
+
+
+class TestWriters:
+    CONFIG = {"mode": "fixed", "seed": 3}
+    HEADER = '# config: {"mode": "fixed", "seed": 3}\n'
+
+    def test_simlog_csv_text(self, tmp_path):
+        x_true, ref_xs = np.zeros((2, 10)), np.zeros((2, 10))
+        x_true[0, 0:3] = [3.0, 4.0, 0.0]  # 5.0 from a zero reference
+        x_true[1, 0:3] = [1.0, 2.5, 2.0]
+        ref_xs[1, 0:3] = [1.0, 0.5, 2.0]  # 2.0 away
+        log = SimLog(
+            ts=np.array([0.0, 0.05]),
+            x_true=x_true,
+            x_meas=x_true.copy(),
+            u_applied=np.array([[9.81, 0.1, -0.2, 0.3], [9.5, 0.0, 0.0, -1.5]]),
+            ref_xs=ref_xs,
+            q_snapshot=np.vstack([np.ones(10), np.arange(10) * 0.5]),
+            kkt=np.array([1e-09, 2.5e-07]),
+        )
+        write_simlog_csv(log, tmp_path / "log.csv", self.CONFIG)
+        assert (tmp_path / "log.csv").read_bytes().decode() == (
+            self.HEADER
+            + "t,px,py,pz,prx,pry,prz,c,wx,wy,wz,d_i,kkt,q0,q1,q2,q3,q4,q5,q6,q7,q8,q9\r\n"
+            + "0.0,3.0,4.0,0.0,0.0,0.0,0.0,9.81,0.1,-0.2,0.3,5.0,1e-09,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0\r\n"
+            + "0.05,1.0,2.5,2.0,1.0,0.5,2.0,9.5,0.0,0.0,-1.5,2.0,2.5e-07,0.0,0.5,1.0,1.5,2.0,2.5,3.0,3.5,4.0,4.5\r\n"
+        )
+
+    def test_report_csv_text(self, tmp_path):
+        results = [
+            CellResult(Cell("agg1", "adaptive", 0.01, 19, 8, 0.0), "ok", MetricsReport(e=12.5, tv=0.25)),
+            CellResult(Cell("agg2", "adaptive", 1.0, 19, 2, 2.0, "linear", runs=2), "ok",
+                       MetricsReport(e=7.0, tv=0.5, e_r=7.0), [6.5, 7.5]),
+            CellResult(Cell("circle", "adaptive", 3.0, 8, 4, 0.5), "failed", message="run 0: 3 of 9 ticks failed"),
+            CellResult(Cell("diamond", "adaptive", 1.0, 8, 14), "skipped", message="sub_horizon exceeds horizon"),
+            CellResult(Cell("agg1", "fixed", None, 24, None, 5.0), "ok", MetricsReport(e=30.125, tv=1.5)),
+        ]
+        write_report_csv(results, tmp_path / "report.csv", self.CONFIG)
+        assert (tmp_path / "report.csv").read_bytes().decode() == (
+            self.HEADER
+            + "trajectory,variant,lambda,N,Ns,sigma,e,tv,e_r,status\r\n"
+            + "agg1,exp,0.01,19,8,0.0,12.5,0.25,,ok\r\n"
+            + "agg2,linear,1.0,19,2,2.0,7.0,0.5,7.0,ok\r\n"
+            + "circle,exp,3.0,8,4,0.5,,,,failed\r\n"
+            + "diamond,exp,1.0,8,14,0.0,,,,skipped\r\n"
+            + "agg1,fixed,,24,,5.0,30.125,1.5,,ok\r\n"
+        )
 
 
 class TestSimulate:
@@ -111,6 +184,29 @@ class TestSimulate:
         assert "error: lam must be positive, got -1.0" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("--noise-sigma", "noise_sigma", "nan"),
+            ("--lambda", "lambda", "nan"),
+            ("--lambda", "lambda", "inf"),
+            ("--gamma", "gamma", "nan"),
+            ("--dt", "dt", "nan"),
+            ("--alpha", "alpha", "nan"),
+        ],
+    )
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, flag, key, value):
+        rc = main(["simulate", "--mode", "adaptive", flag, value, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"error: {key} must be finite, got {float(value)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        rc = main(["simulate", "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_runtime_failure_exit_code(self, tmp_path):
         rc = main(["simulate", "--trajectory", "file:/nonexistent.csv", "--out", str(tmp_path / "x")])
         assert rc == 1
@@ -167,6 +263,23 @@ class TestConfigFile:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("noise_sigma", float("nan")), ("lambda", float("inf"))])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))  # json writes NaN and Infinity, and reads them back
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"error: {key} must be finite, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_simulate_rejects_runs_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"runs": 7}))
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "error: config key 'runs' is not read by this command" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_lambda_key_has_one_spelling(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"lam": 2.5}))
@@ -184,53 +297,68 @@ class TestConfigFile:
 
 
 class TestPlotdata:
-    def _make_log(self, tmp_path, name, seed=0):
-        out = tmp_path / name
-        assert (
-            main(
-                [
-                    "simulate",
-                    "--trajectory", "circle",
-                    "--horizon", "8",
-                    "--seed", str(seed),
-                    "--out", str(out),
-                ]
-            )
-            == 0
-        )
-        return out / "log.csv"
+    @staticmethod
+    def assert_per_log_files(out, log, suffix):
+        """Each column of the three per-log files is the named log.csv column, as text."""
+        config, _, logged = read_text_columns(log)
+        named = {
+            "path": {"x": "px", "y": "py", "z": "pz", "ref_x": "prx", "ref_y": "pry", "ref_z": "prz"},
+            "position_vs_t": {c: c for c in ("t", "px", "py", "pz", "prx", "pry", "prz")},
+            "controls_vs_t": {c: c for c in ("t", "c", "wx", "wy", "wz")},
+        }
+        for name, columns in named.items():
+            file_config, header, cols = read_text_columns(out / f"{name}{suffix}.csv")
+            assert file_config == config
+            assert header == list(columns)
+            for column, source in columns.items():
+                assert cols[column] == logged[source], (name, column)
 
     def test_single_log_emits_three_files(self, tmp_path):
-        log = self._make_log(tmp_path, "r1")
+        log = random_log_csv(tmp_path / "r" / "log.csv")
         out = tmp_path / "plots"
         assert main(["plotdata", "--log", str(log), "--out", str(out)]) == 0
-        for name in ("path.csv", "position_vs_t.csv", "controls_vs_t.csv"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == ["controls_vs_t.csv", "path.csv", "position_vs_t.csv"]
+        self.assert_per_log_files(out, log, "")
 
-    def test_reference_columns_pass_through(self, tmp_path):
-        log = self._make_log(tmp_path, "r2")
-        out = tmp_path / "plots2"
-        assert main(["plotdata", "--log", str(log), "--out", str(out)]) == 0
-        _, data = read_simlog_csv(log)
-        import csv
+    @pytest.mark.parametrize(
+        "names, labels",
+        [
+            (["run_fixed/log.csv", "run_adaptive/log.csv"], ["run_fixed", "run_adaptive"]),  # the README example
+            (["a/base.csv", "b/adapt.csv"], ["base", "adapt"]),
+            (["a/log.csv", "b/log.csv", "b/extra.csv"], ["a", "b", "extra"]),
+        ],
+        ids=["readme-example", "distinct-stems", "shared-and-distinct-stems"],
+    )
+    def test_logs_kept_apart(self, tmp_path, names, labels):
+        logs = [random_log_csv(tmp_path / name, seed=k) for k, name in enumerate(names)]
+        out = tmp_path / "plots"
+        args = ["plotdata", *(a for log in logs for a in ("--log", str(log))), "--out", str(out)]
+        assert main(args) == 0
+        per_log = [f"{name}_{label}.csv" for label in labels for name in ("path", "position_vs_t", "controls_vs_t")]
+        assert sorted(p.name for p in out.iterdir()) == sorted(per_log + ["comparison.csv"])
+        for log, label in zip(logs, labels):
+            self.assert_per_log_files(out, log, f"_{label}")
 
-        with open(out / "position_vs_t.csv") as fh:
-            fh.readline()  # config header
-            rows = list(csv.reader(fh))
-        cols = np.array([[float(v) for v in row] for row in rows[1:]])
-        np.testing.assert_array_equal(cols[:, 4:7], data[:, 4:7])
+        config, header, cols = read_text_columns(out / "comparison.csv")
+        first = read_text_columns(logs[0])
+        assert config == first[0]
+        by_label = [f"{c}_{label}" for label in labels for c in ("px", "py", "pz", "d_i")]
+        assert header == ["t", *by_label, "prx", "pry", "prz"]
+        for log, label in zip(logs, labels):
+            _, _, logged = read_text_columns(log)
+            for c in ("px", "py", "pz", "d_i"):
+                assert cols[f"{c}_{label}"] == logged[c]
+        for c in ("t", "prx", "pry", "prz"):
+            assert cols[c] == first[2][c]
 
-    def test_merged_comparison_alignment(self, tmp_path):
-        log_a = self._make_log(tmp_path, "base", seed=1)
-        log_b = self._make_log(tmp_path, "adapt", seed=2)
-        out = tmp_path / "plots3"
-        assert main(["plotdata", "--log", str(log_a), "--log", str(log_b), "--out", str(out)]) == 0
-        assert (out / "comparison.csv").exists()
-        with open(out / "comparison.csv") as fh:
-            fh.readline()
-            n_rows = sum(1 for _ in fh) - 1
-        _, data = read_simlog_csv(log_a)
-        assert n_rows == data.shape[0]
+    def test_stem_and_directory_clash_writes_nothing(self, tmp_path, capsys):
+        logs = [random_log_csv(tmp_path / sub / "run" / "log.csv") for sub in ("a", "b")]
+        out = tmp_path / "plots"
+        assert main(["plotdata", "--log", str(logs[0]), "--log", str(logs[1]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(logs[0]) in err and str(logs[1]) in err
+        assert "share both file stem and directory name" in err
+        assert not out.exists()
 
     def test_missing_input_exit_code(self, tmp_path):
         assert main(["plotdata", "--log", str(tmp_path / "none.csv"), "--out", str(tmp_path)]) == 1
@@ -247,8 +375,6 @@ class TestTableCommand:
         out = tmp_path / "t1"
         rc = main(["table", "--table", "1", "--horizon", "8", "--out", str(out)])
         assert rc == 0
-        import csv
-
         with open(out / "table1_report.csv") as fh:
             fh.readline()
             rows = list(csv.DictReader(fh))
@@ -304,8 +430,6 @@ class TestTableCommand:
         out = tmp_path / "t2"
         rc = main(["table", "--table", "2", "--out", str(out)])
         assert rc == 0
-        import csv
-
         with open(out / "table2_report.csv") as fh:
             fh.readline()
             rows = list(csv.DictReader(fh))
@@ -359,6 +483,21 @@ class TestTableCommand:
     )
     def test_checks_inputs_before_any_cell_runs(self, tmp_path, no_run, capsys, flag, value, message):
         rc = main(["table", "--table", "3", flag, value, "--out", str(tmp_path / "t")])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize(
+        "table, flag, value, message",
+        [
+            (3, "--lambda", "nan", "lambda must be finite, got nan"),
+            (1, "--gamma", "inf", "gamma must be finite, got inf"),
+            (2, "--dt", "nan", "dt must be finite, got nan"),
+            (3, "--seed", "-1", "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_rejects_bad_numbers_before_any_cell_runs(self, tmp_path, no_run, capsys, table, flag, value, message):
+        rc = main(["table", "--table", str(table), "--runs", "1", flag, value, "--out", str(tmp_path / "t")])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()

@@ -89,6 +89,21 @@ class TestClosedLoop:
         np.testing.assert_array_equal(log_a.x_meas, log_b.x_meas)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: AdaptConfig(lam=np.nan), "lam must be positive, got nan"),
+        (lambda: AdaptConfig(gamma=np.nan), "gamma must be non-negative, got nan"),
+        (lambda: NoiseConfig(sigma=np.nan), "sigma must be non-negative, got nan"),
+        (lambda: ControllerConfig(dt=np.nan), "dt must be positive, got nan"),
+    ],
+    ids=["AdaptConfig.lam", "AdaptConfig.gamma", "NoiseConfig.sigma", "ControllerConfig.dt"],
+)
+def test_configs_reject_nan(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestInjectNoise:
     def test_sigma_zero_is_identity(self):
         x = hover_state((1.0, 2.0, 3.0))
