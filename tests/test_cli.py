@@ -320,6 +320,16 @@ class TestPlotdata:
         assert sorted(p.name for p in out.iterdir()) == ["controls_vs_t.csv", "path.csv", "position_vs_t.csv"]
         self.assert_per_log_files(out, log, "")
 
+    def test_reference_columns_pass_through(self, tmp_path):
+        run = tmp_path / "r2"
+        assert main(["simulate", "--trajectory", "circle", "--horizon", "8", "--out", str(run)]) == 0
+        out = tmp_path / "plots2"
+        assert main(["plotdata", "--log", str(run / "log.csv"), "--out", str(out)]) == 0
+        _, _, logged = read_text_columns(run / "log.csv")
+        _, _, cols = read_text_columns(out / "position_vs_t.csv")
+        for c in ("prx", "pry", "prz"):
+            assert cols[c] == logged[c]
+
     @pytest.mark.parametrize(
         "names, labels",
         [
