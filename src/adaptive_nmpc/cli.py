@@ -222,8 +222,8 @@ def _write_csv(path: Path, config: dict, header, rows) -> None:
 
 
 def _float_rows(cols: list[np.ndarray]) -> list[list[str]]:
-    """Side-by-side float columns as rows of round-trip text."""
-    return [[repr(v) for v in row] for row in np.column_stack(cols).tolist()]
+    """Side-by-side float columns as rows of round-trip text; NaN, a missing value, as an empty field."""
+    return [["" if math.isnan(v) else repr(v) for v in row] for row in np.column_stack(cols).tolist()]
 
 
 def write_simlog_csv(log: SimLog, path: Path, config: dict) -> None:
@@ -232,7 +232,7 @@ def write_simlog_csv(log: SimLog, path: Path, config: dict) -> None:
 
 
 def read_simlog_csv(path: Path) -> tuple[dict, np.ndarray]:
-    """Returns (config, data) with data columns as in SIMLOG_COLUMNS."""
+    """Returns (config, data) with data columns as in SIMLOG_COLUMNS; an empty field reads as NaN."""
     config = {}
     with open(path, newline="") as fh:
         first = fh.readline()
@@ -244,7 +244,7 @@ def read_simlog_csv(path: Path) -> tuple[dict, np.ndarray]:
         header = next(reader)
         if tuple(header) != SIMLOG_COLUMNS:
             raise ValueError(f"unexpected log CSV header in {path}")
-        data = np.array([[float(v) for v in row] for row in reader])
+        data = np.array([[float(v) if v else math.nan for v in row] for row in reader])
     return config, data
 
 

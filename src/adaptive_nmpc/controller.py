@@ -105,7 +105,8 @@ class TickDiagnostics:
 
     @property
     def kkt_residual(self) -> float:
-        return self.rounds[-1].kkt_residual if self.rounds else float("nan")
+        """Certificate of the command's QP; NaN on a failed tick, whose held command has none."""
+        return float("nan") if self.failed or not self.rounds else self.rounds[-1].kkt_residual
 
 
 def _pred_from_window(window: ReferenceWindow, horizon: int) -> PredictionTrajectory:

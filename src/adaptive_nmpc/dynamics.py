@@ -39,7 +39,6 @@ _POS = slice(0, 3)
 _VEL = slice(3, 6)
 _QUAT = slice(6, 10)
 
-_GRAVITY_VEC = np.array([0.0, 0.0, -GRAVITY])
 _EZ = np.array([0.0, 0.0, 1.0])
 
 
@@ -201,14 +200,22 @@ def _rotate_jacobian_q(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _deriv(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    q = x[..., _QUAT]
-    c = u[..., :1]
-    omega = u[..., 1:]
-    zeros = np.zeros_like(c)
-    thrust_body = np.concatenate([zeros, zeros, c], axis=-1)
-    dv = _rotate(q, thrust_body) + _GRAVITY_VEC
-    dq = 0.5 * _quat_multiply(q, np.concatenate([zeros, omega], axis=-1))
-    return np.concatenate([x[..., _VEL], dv, dq], axis=-1)
+    """f(x, u) written out by component into one ``(..., 10)`` array."""
+    qw, qx, qy, qz = x[..., 6], x[..., 7], x[..., 8], x[..., 9]
+    c, wx, wy, wz = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
+    # dv: c times the third column of R(q), plus gravity
+    ax = 2.0 * c * (qx * qz + qw * qy)
+    out = np.empty(ax.shape + (STATE_DIM,))
+    out[..., _POS] = x[..., _VEL]
+    out[..., 3] = ax
+    out[..., 4] = 2.0 * c * (qy * qz - qw * qx)
+    out[..., 5] = c * (qw * qw - qx * qx - qy * qy + qz * qz) - GRAVITY
+    # dq = 0.5 q (x) [0, w]
+    out[..., 6] = -0.5 * (qx * wx + qy * wy + qz * wz)
+    out[..., 7] = 0.5 * (qw * wx + qy * wz - qz * wy)
+    out[..., 8] = 0.5 * (qw * wy + qz * wx - qx * wz)
+    out[..., 9] = 0.5 * (qw * wz + qx * wy - qy * wx)
+    return out
 
 
 def _jac_continuous(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,12 +235,16 @@ def _jac_continuous(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return Jx, Ju
 
 
-def _rk4_raw(x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+def _rk4(x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """One classical RK4 step before renormalization: returns ``(x_raw, stage_points)``."""
     k1 = _deriv(x, u)
-    k2 = _deriv(x + 0.5 * dt * k1, u)
-    k3 = _deriv(x + 0.5 * dt * k2, u)
-    k4 = _deriv(x + dt * k3, u)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x2 = x + 0.5 * dt * k1
+    k2 = _deriv(x2, u)
+    x3 = x + 0.5 * dt * k2
+    k3 = _deriv(x3, u)
+    x4 = x + dt * k3
+    k4 = _deriv(x4, u)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, x2, x3, x4)
 
 
 def _project(x: np.ndarray) -> np.ndarray:
@@ -243,30 +254,21 @@ def _project(x: np.ndarray) -> np.ndarray:
 
 
 def _step(x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    return _project(_rk4_raw(x, u, dt))
+    return _project(_rk4(x, u, dt)[0])
 
 
 def _step_jacobians(x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One RK4 step with Jacobians of the renormalized map.
 
     Returns ``(x_next, A, B)`` where ``A = d(step)/dx`` and ``B = d(step)/du``,
-    both of the full discrete map including quaternion renormalization.
+    both of the full discrete map including quaternion renormalization;
+    ``x_next`` is :func:`_step` of the same inputs.
     """
     batch = x.shape[:-1]
     eye = np.broadcast_to(np.eye(STATE_DIM), batch + (STATE_DIM, STATE_DIM))
 
-    k1 = _deriv(x, u)
-    x2 = x + 0.5 * dt * k1
-    k2 = _deriv(x2, u)
-    x3 = x + 0.5 * dt * k2
-    k3 = _deriv(x3, u)
-    x4 = x + dt * k3
-    k4 = _deriv(x4, u)
-
-    J1x, J1u = _jac_continuous(x, u)
-    J2x, J2u = _jac_continuous(x2, u)
-    J3x, J3u = _jac_continuous(x3, u)
-    J4x, J4u = _jac_continuous(x4, u)
+    raw, points = _rk4(x, u, dt)
+    (J1x, J1u), (J2x, J2u), (J3x, J3u), (J4x, J4u) = (_jac_continuous(p, u) for p in points)
 
     dk1x = J1x
     dk2x = J2x @ (eye + 0.5 * dt * dk1x)
@@ -280,17 +282,13 @@ def _step_jacobians(x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray
     dk4u = J4u + J4x @ (dt * dk3u)
     B = (dt / 6.0) * (dk1u + 2.0 * dk2u + 2.0 * dk3u + dk4u)
 
-    raw = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    q_raw = raw[..., _QUAT]
-    norm = np.linalg.norm(q_raw, axis=-1, keepdims=True)
-    q_hat = q_raw / norm
+    x_next = _project(raw)
+    q_hat = x_next[..., _QUAT]
+    norm = np.linalg.norm(raw[..., _QUAT], axis=-1, keepdims=True)
     # d(q/|q|)/dq = (I - q_hat q_hat^T) / |q|
     Jn = (np.eye(4) - q_hat[..., :, None] * q_hat[..., None, :]) / norm[..., None]
     A[..., _QUAT, :] = Jn @ A[..., _QUAT, :]
     B[..., _QUAT, :] = Jn @ B[..., _QUAT, :]
-
-    x_next = np.array(raw, copy=True)
-    x_next[..., _QUAT] = q_hat
     return x_next, A, B
 
 

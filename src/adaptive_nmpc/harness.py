@@ -48,7 +48,7 @@ class SimLog:
     u_applied: np.ndarray  # (L, 4)
     ref_xs: np.ndarray  # (L, 10)
     q_snapshot: np.ndarray  # (L, 10)
-    kkt: np.ndarray  # (L,)
+    kkt: np.ndarray  # (L,), NaN exactly on the failed ticks
     failures: int = 0
 
     def __len__(self) -> int:

@@ -9,8 +9,14 @@ import itertools
 
 import numpy as np
 
-from adaptive_nmpc.dynamics import GRAVITY, State
+from adaptive_nmpc.dynamics import _QUAT, _VEL, GRAVITY, ControlLimits, State, _quat_multiply, _rotate
 from adaptive_nmpc.transcription import Q_MIN, WeightVector
+
+#: The control box of the benchmark's ``saturated`` workload: below the
+#: thrust and rate peaks of agg1/agg2, so the bounds bind on most ticks.
+SATURATED_BOX = ControlLimits(c_min=7.0, c_max=12.5, omega_min=-1.0, omega_max=1.0)
+
+_GRAVITY_VEC = np.array([0.0, 0.0, -GRAVITY])
 
 
 def hover_state(position=(0.0, 0.0, 0.0)):
@@ -61,6 +67,34 @@ def random_state_vector(rng, pos_scale=2.0, vel_scale=2.0):
 
 def random_control_vector(rng, c_range=(2.0, 20.0), w_scale=2.0):
     return np.concatenate([[rng.uniform(*c_range)], w_scale * rng.standard_normal(3)])
+
+
+def random_batch(draw, rng, batch):
+    """``draw(rng)`` stacked into an array of shape ``batch + (dim,)``."""
+    return np.reshape([draw(rng) for _ in range(int(np.prod(batch)))], batch + (-1,))
+
+
+def deriv_reference(x, u):
+    """The vector field as rotation plus Hamilton product, the form the component-wise one replaced."""
+    q = x[..., _QUAT]
+    c = u[..., :1]
+    omega = u[..., 1:]
+    zeros = np.zeros_like(c)
+    thrust_body = np.concatenate([zeros, zeros, c], axis=-1)
+    dv = _rotate(q, thrust_body) + _GRAVITY_VEC
+    dq = 0.5 * _quat_multiply(q, np.concatenate([zeros, omega], axis=-1))
+    return np.concatenate([x[..., _VEL], dv, dq], axis=-1)
+
+
+def step_reference(x, u, dt):
+    """One RK4 step of :func:`deriv_reference` followed by quaternion renormalization."""
+    k1 = deriv_reference(x, u)
+    k2 = deriv_reference(x + 0.5 * dt * k1, u)
+    k3 = deriv_reference(x + 0.5 * dt * k2, u)
+    k4 = deriv_reference(x + dt * k3, u)
+    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out[..., _QUAT] /= np.linalg.norm(out[..., _QUAT], axis=-1, keepdims=True)
+    return out
 
 
 def central_difference_jacobians(step, x, u, dt, h=1e-6):

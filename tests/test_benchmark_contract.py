@@ -7,13 +7,24 @@ and more), so deleting or renaming one of them breaks the benchmark without
 failing any other test. These runs exercise every wrapper and check once
 each: the self-test of the output checks, one traced round of ``saturated``
 and the set-up of ``noise-sweep``. They write only under ``perfbench/out/``.
+
+The model's step must also pass the benchmark's replay check, which compares
+every logged transition with the scalar RK4 oracle in ``perfbench/checks.py``;
+a test here runs that comparison directly, in about a second.
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from adaptive_nmpc.dynamics import QUADROTOR
+from helpers import SATURATED_BOX, random_unit_quat
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import checks  # noqa: E402 - the benchmark's own oracle, imported from its directory
 
 
 def run(*args):
@@ -38,3 +49,21 @@ def test_noise_sweep_setup_runs():
     proc = run(str(PERFBENCH / "run.py"), "--workload", "noise-sweep", "--setup-only")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert float(proc.stdout.split()[-1]) > 0.0
+
+
+def test_step_matches_replay_oracle():
+    # the check every benchmark run makes on each logged transition, here on
+    # random states with controls inside and at the limits of the saturated box
+    rng = np.random.default_rng(5)
+    lo, hi = SATURATED_BOX.lower, SATURATED_BOX.upper
+    worst = 0.0
+    for i in range(200):
+        x = np.concatenate([3.0 * rng.standard_normal(6), random_unit_quat(rng)])
+        u = rng.uniform(lo, hi)
+        if i % 2:
+            pick = rng.integers(0, 3, 4)  # per component: lower limit, upper limit or the draw
+            u = np.where(pick == 0, lo, np.where(pick == 1, hi, u))
+        pred = np.array(checks.rk4_step(x.tolist(), u.tolist(), 0.05))
+        got = QUADROTOR.step(x, u, 0.05)
+        worst = max(worst, float(np.max(np.abs(pred - got) / np.maximum(1.0, np.abs(got)))))
+    assert worst <= checks.ROUND_OFF, f"step is {worst:.2e} from the replay oracle"

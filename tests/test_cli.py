@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from adaptive_nmpc import cli
 from adaptive_nmpc.cli import main, read_simlog_csv, render_table, write_report_csv, write_simlog_csv
 from adaptive_nmpc.harness import Cell, CellResult, MetricsReport, SimLog
 from adaptive_nmpc.trajectories import ReferenceTrajectory, preset
+from helpers import SATURATED_BOX
 
 
 def file_hash(path):
@@ -65,6 +68,31 @@ class TestWriters:
             + "0.0,3.0,4.0,0.0,0.0,0.0,0.0,9.81,0.1,-0.2,0.3,5.0,1e-09,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0\r\n"
             + "0.05,1.0,2.5,2.0,1.0,0.5,2.0,9.5,0.0,0.0,-1.5,2.0,2.5e-07,0.0,0.5,1.0,1.5,2.0,2.5,3.0,3.5,4.0,4.5\r\n"
         )
+
+    def test_failed_tick_kkt_is_empty(self, tmp_path):
+        # a failed tick holds a command no QP certified: its kkt is NaN in the
+        # log, an empty field in log.csv, and NaN again when read back
+        log = SimLog(
+            ts=np.array([0.0, 0.05]),
+            x_true=np.zeros((2, 10)),
+            x_meas=np.zeros((2, 10)),
+            u_applied=np.array([[9.81, 0.0, 0.0, 0.0], [7.0, -1.0, 1.0, 0.5]]),
+            ref_xs=np.zeros((2, 10)),
+            q_snapshot=np.ones((2, 10)),
+            kkt=np.array([np.nan, 2.5e-07]),
+            failures=1,
+        )
+        write_simlog_csv(log, tmp_path / "log.csv", self.CONFIG)
+        assert (tmp_path / "log.csv").read_bytes().decode() == (
+            self.HEADER
+            + "t,px,py,pz,prx,pry,prz,c,wx,wy,wz,d_i,kkt,q0,q1,q2,q3,q4,q5,q6,q7,q8,q9\r\n"
+            + "0.0,0.0,0.0,0.0,0.0,0.0,0.0,9.81,0.0,0.0,0.0,0.0,,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0\r\n"
+            + "0.05,0.0,0.0,0.0,0.0,0.0,0.0,7.0,-1.0,1.0,0.5,0.0,2.5e-07,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0\r\n"
+        )
+        config, data = read_simlog_csv(tmp_path / "log.csv")
+        assert config == self.CONFIG
+        kkt = data[:, list(cli.SIMLOG_COLUMNS).index("kkt")]
+        assert math.isnan(kkt[0]) and kkt[1] == 2.5e-07
 
     def test_report_csv_text(self, tmp_path):
         results = [
@@ -565,3 +593,46 @@ class TestRenderTable:
         text = render_table(results, columns, label, noise=noise)
         assert self.row_values(text, "fixed", noise) == fixed_row
         assert self.row_values(text, "Ns=4", noise) == ["20.00", "21.00", "22.00", "23.00"]
+
+
+class TestFirstTickFailure:
+    """One active-set iteration under the saturated box: every QP fails, from the first tick on."""
+
+    @pytest.fixture(autouse=True)
+    def one_qp_iteration(self, monkeypatch):
+        make = cli.RunConfig.controller_config
+        monkeypatch.setattr(
+            cli.RunConfig, "controller_config", lambda cfg: replace(make(cfg), qp_max_iter=1, limits=SATURATED_BOX)
+        )
+
+    def test_simulate_logs_finite_rows_and_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--trajectory", "agg1", "--out", str(out)]) == 1
+        L = len(preset("agg1"))
+        assert f"warning: controller failed on {L} ticks (held command)" in capsys.readouterr().err
+        assert json.loads((out / "summary.json").read_text())["controller_failures"] == L
+
+        _, header, cols = read_text_columns(out / "log.csv")
+        assert cols["kkt"] == ("",) * L  # no tick has a certificate
+        for name in header:
+            if name != "kkt":
+                assert all(math.isfinite(float(v)) for v in cols[name]), name
+        held = SATURATED_BOX.clamp(preset("agg1").us[0])
+        assert [float(cols[c][0]) for c in ("c", "wx", "wy", "wz")] == held.tolist()
+
+        plots = tmp_path / "plots"
+        assert main(["plotdata", "--log", str(out / "log.csv"), "--out", str(plots)]) == 0
+        TestPlotdata.assert_per_log_files(plots, out / "log.csv", "")
+
+    def test_table_marks_cells_failed_and_exits_1(self, tmp_path):
+        out = tmp_path / "t3"
+        assert main(["table", "--table", "3", "--runs", "1", "--out", str(out)]) == 1
+        with open(out / "table3_report.csv") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 32
+        # the box binds on the aggressive presets from the first tick on
+        assert {row["status"] for row in rows if row["trajectory"] in ("agg1", "agg2")} == {"failed"}
+        failed = [row for row in rows if row["status"] == "failed"]
+        assert all(row["e"] == row["tv"] == "" for row in failed)
+        assert (out / "table3.txt").read_text().count("failed") == len(failed)

@@ -14,7 +14,7 @@ from adaptive_nmpc.controller import (
 from adaptive_nmpc.dynamics import GRAVITY, ControlLimits
 from adaptive_nmpc.trajectories import ReferenceWindow, preset
 from adaptive_nmpc.transcription import WeightVector, build_qp, solve_qp
-from helpers import LinearModel, dense_equality_qp, hover_control, hover_state, in_box
+from helpers import SATURATED_BOX, LinearModel, dense_equality_qp, hover_control, hover_state, in_box
 
 N = 10
 
@@ -168,10 +168,6 @@ class TestTick:
         np.testing.assert_allclose(st2.pred.us, win.us[:N], atol=1e-9)
 
 
-#: Box below the thrust and rate peaks of agg1/agg2, so bounds bind on most ticks.
-TIGHT_BOX = ControlLimits(c_min=7.0, c_max=12.5, omega_min=-1.0, omega_max=1.0)
-
-
 def record_solves(monkeypatch):
     """Record (problem, start set, solution) of every QP the controller solves."""
     calls = []
@@ -188,7 +184,7 @@ def record_solves(monkeypatch):
 class TestWarmStart:
     def test_tight_box_start_set_saves_sweeps(self, monkeypatch):
         calls = record_solves(monkeypatch)
-        log = harness.run_closed_loop(preset("agg1"), ControllerConfig(limits=TIGHT_BOX))
+        log = harness.run_closed_loop(preset("agg1"), ControllerConfig(limits=SATURATED_BOX))
         assert log.failures == 0
         warm = cold = 0
         for prob, start, sol in calls:
@@ -203,7 +199,7 @@ class TestWarmStart:
 
     def test_set_carried_between_rounds_and_shifted_between_ticks(self, monkeypatch):
         calls = record_solves(monkeypatch)
-        cfg = ControllerConfig(limits=TIGHT_BOX)
+        cfg = ControllerConfig(limits=SATURATED_BOX)
         traj = preset("agg1", dt=cfg.dt)
         st = init_controller(cfg, traj.window(0, cfg.horizon + 1))
         x = traj.xs[0]
@@ -279,6 +275,25 @@ class TestFailurePolicy:
         assert np.all(np.isfinite(cmd))
         assert np.all(np.isfinite(diag.weights_q))
         assert st2.pred is None
+
+    def test_first_tick_failure_holds_clamped_reference(self):
+        # one active-set iteration is too few under the saturated box, so the
+        # very first QP fails and there is no previous command to hold
+        traj = preset("agg1")
+        cfg = ControllerConfig(qp_max_iter=1, limits=SATURATED_BOX)
+        refs = traj.window(0, cfg.horizon + 1)
+        cmd, st2, diag = nmpc_tick(init_controller(cfg, refs), traj.xs[0], refs, cfg)
+        assert diag.failed
+        np.testing.assert_array_equal(cmd, SATURATED_BOX.clamp(refs.us[0]))
+        assert np.isnan(diag.kkt_residual)  # the held command has no certificate
+        assert st2.pred is None
+
+        log = harness.run_closed_loop(traj, cfg)
+        assert log.failures == len(log)
+        np.testing.assert_array_equal(log.u_applied[0], cmd)
+        assert np.isnan(log.kkt).all()
+        for name in ("x_true", "x_meas", "u_applied", "q_snapshot"):
+            assert np.isfinite(getattr(log, name)).all(), name
 
     def test_recovery_rebuilds_prediction(self):
         win = hover_window(N + 2)

@@ -4,16 +4,34 @@ import pytest
 from adaptive_nmpc.dynamics import GRAVITY, QUADROTOR, ControlLimits, State, _deriv, _rotate
 from helpers import (
     central_difference_jacobians,
+    deriv_reference,
     hover_control,
     hover_state,
     quat_to_rotmat,
+    random_batch,
     random_control_vector,
     random_state_vector,
     random_unit_quat,
+    step_reference,
 )
 
 QUAT_90X = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0, 0.0])
 FREE_FALL = np.zeros(4)
+
+#: (state batch, control batch): single, one horizon, two batch axes, and a horizon under one control
+BATCHES = [((), ()), ((19,), (19,)), ((3, 5), (3, 5)), ((19,), ())]
+
+
+def random_inputs(seed, x_batch, u_batch):
+    rng = np.random.default_rng(seed)
+    return random_batch(random_state_vector, rng, x_batch), random_batch(random_control_vector, rng, u_batch)
+
+
+def assert_round_off(got, ref):
+    """Equal up to reordered rounding: |got - ref| <= 1e-14 max(1, |ref|) elementwise."""
+    assert got.shape == ref.shape
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 1e-14, f"max scaled error {err.max():.2e}"
 
 
 class TestDynamicsDeriv:
@@ -32,6 +50,29 @@ class TestDynamicsDeriv:
         expected = quat_to_rotmat(QUAT_90X) @ [0, 0, GRAVITY] + [0, 0, -GRAVITY]
         np.testing.assert_allclose(deriv[3:6], expected, atol=1e-12)
         np.testing.assert_allclose(deriv[3:6], [0.0, -GRAVITY, -GRAVITY], atol=1e-9)
+
+
+class TestDerivOracle:
+    """The component-wise vector field against the rotation and Hamilton-product form."""
+
+    @pytest.mark.parametrize("x_batch, u_batch", BATCHES)
+    def test_matches_reference(self, x_batch, u_batch):
+        for seed in range(20):
+            x, u = random_inputs(seed, x_batch, u_batch)
+            assert_round_off(_deriv(x, u), deriv_reference(x, u))
+
+    @pytest.mark.parametrize("x_batch, u_batch", BATCHES)
+    def test_step_matches_reference_step(self, x_batch, u_batch):
+        for seed in range(20):
+            x, u = random_inputs(seed, x_batch, u_batch)
+            assert_round_off(QUADROTOR.step(x, u, 0.05), step_reference(x, u, 0.05))
+
+    @pytest.mark.parametrize("x_batch, u_batch", BATCHES)
+    def test_discretize_state_is_step(self, x_batch, u_batch):
+        # shooting defects and the warm-start shift rely on this equality
+        x, u = random_inputs(3, x_batch, u_batch)
+        x_next, _, _ = QUADROTOR.discretize(x, u, 0.05)
+        assert np.array_equal(x_next, QUADROTOR.step(x, u, 0.05))
 
 
 class TestQuatRotate:

@@ -5,7 +5,7 @@ from adaptive_nmpc import harness
 from adaptive_nmpc.adaptation import AdaptConfig
 from adaptive_nmpc.cli import RunConfig, table_grid
 from adaptive_nmpc.controller import ControllerConfig
-from adaptive_nmpc.dynamics import ControlLimits, State
+from adaptive_nmpc.dynamics import State
 from adaptive_nmpc.harness import (
     Cell,
     CellResult,
@@ -22,7 +22,7 @@ from adaptive_nmpc.harness import (
     run_experiment_grid,
 )
 from adaptive_nmpc.trajectories import preset
-from helpers import hover_state
+from helpers import SATURATED_BOX, hover_state
 
 
 def random_log(rng, L=20):
@@ -221,13 +221,12 @@ class TestGrid:
         assert res.report.e_r == pytest.approx(float(np.mean(res.per_run_e)), rel=1e-15)
 
     def test_cell_with_held_commands_fails(self):
-        tight = ControlLimits(c_min=7.0, c_max=12.5, omega_min=-1.0, omega_max=1.0)
         cell = Cell("agg1", "fixed", None, 19, None, 0.0, "exponential", 1)
-        res = run_cell(cell, ControllerConfig(qp_max_iter=1, limits=tight))
+        res = run_cell(cell, ControllerConfig(qp_max_iter=1, limits=SATURATED_BOX))
         assert res.status == "failed"
         assert res.report is None
         assert res.message == "run 0: 103 of 103 ticks failed their QP and held the command"
-        healthy = run_cell(cell, ControllerConfig(limits=tight))
+        healthy = run_cell(cell, ControllerConfig(limits=SATURATED_BOX))
         assert healthy.status == "ok"
         assert healthy.message == ""
 
