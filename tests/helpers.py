@@ -75,7 +75,11 @@ def random_batch(draw, rng, batch):
 
 
 def deriv_reference(x, u):
-    """The vector field as rotation plus Hamilton product, the form the component-wise one replaced."""
+    """The vector field as R(q) applied to the body thrust plus a Hamilton product.
+
+    A second form of ``dynamics._deriv``, built from the library's quaternion
+    helpers, which ``test_dynamics`` checks against the textbook rotation matrix.
+    """
     q = x[..., _QUAT]
     c = u[..., :1]
     omega = u[..., 1:]
