@@ -7,9 +7,10 @@ After each prediction step the per-dimension error products
 are accumulated over the sub-horizon and mapped to new diagonal state
 weights. The plain linear form ``q = sum(v) / (2*lam + gamma)`` is the
 exact minimizer of ``lam q'q - sum(v)'q`` (the controller clips it at
-zero so the weight matrix stays positive semidefinite); the exponential
-form ``q = exp(sum(v) / (2*lam + gamma))`` is the variant used by the
-benchmark defaults (neutral all-ones weights under perfect tracking).
+zero so the weight matrix stays positive semidefinite), capped above at
+:data:`LINEAR_Q_MAX`; the exponential form ``q = exp(sum(v) / (2*lam + gamma))``
+is the variant used by the benchmark defaults (neutral all-ones weights
+under perfect tracking).
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 VARIANTS = ("linear", "exponential")
+
+#: Upper bound on each state weight of the linear update. One corrupted
+#: measurement otherwise drives a weight without bound (3.1e16 on agg1 at
+#: lam = 0.01 and sigma = 1e6), and the QP can then no longer certify its
+#: solution. The cap sits above the largest weight the paper's tables reach
+#: with the linear variant at their default settings (9.2e3, Table 3, agg1 at
+#: sigma = 5), so their results do not depend on it.
+LINEAR_Q_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,8 @@ def compute_v(dx_k: np.ndarray, l_k_state: np.ndarray, alpha: float) -> np.ndarr
 
 
 def update_weights_linear(v_sum, cfg: AdaptConfig) -> np.ndarray:
-    """Closed-form minimizer of the weight objective."""
-    return np.asarray(v_sum, dtype=float) / cfg.denom
+    """Closed-form minimizer of the weight objective, capped at :data:`LINEAR_Q_MAX`."""
+    return np.minimum(np.asarray(v_sum, dtype=float) / cfg.denom, LINEAR_Q_MAX)
 
 
 def update_weights_exp(v_sum, cfg: AdaptConfig) -> np.ndarray:

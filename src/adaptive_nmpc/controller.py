@@ -196,4 +196,4 @@ def baseline_tick(
     cfg: ControllerConfig,
 ) -> tuple[np.ndarray, ControllerState, TickDiagnostics]:
     """Fixed-weight tick: identical to :func:`nmpc_tick` with adaptation off."""
-    return nmpc_tick(state, x_meas, refs, replace(cfg, adapt=None))
+    return nmpc_tick(state, x_meas, refs, cfg if cfg.adapt is None else replace(cfg, adapt=None))

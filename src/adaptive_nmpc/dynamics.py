@@ -27,7 +27,7 @@ is the interface the controller uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,20 +70,29 @@ class ControlLimits:
 
     ``omega_min``/``omega_max`` accept scalars (broadcast per axis) or
     length-3 arrays. Thrust cannot be negative: ``c_min >= 0``.
+
+    ``lower`` = ``[c_min, *omega_min]`` and ``upper`` = ``[c_max, *omega_max]``
+    are built once here. They and the rate bounds are read-only, because one
+    frozen instance is shared by every run of a grid.
     """
 
     c_min: float = 1.0
     c_max: float = 25.0
     omega_min: np.ndarray | float = -5.0
     omega_max: np.ndarray | float = 5.0
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
+    upper: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c_min", float(self.c_min))
         object.__setattr__(self, "c_max", float(self.c_max))
         wmin = np.broadcast_to(np.asarray(self.omega_min, dtype=float), (3,)).copy()
         wmax = np.broadcast_to(np.asarray(self.omega_max, dtype=float), (3,)).copy()
-        object.__setattr__(self, "omega_min", wmin)
-        object.__setattr__(self, "omega_max", wmax)
+        lower = np.concatenate([[self.c_min], wmin])
+        upper = np.concatenate([[self.c_max], wmax])
+        for name, arr in (("omega_min", wmin), ("omega_max", wmax), ("lower", lower), ("upper", upper)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.c_min < 0.0:
             raise ValueError(f"c_min must be non-negative, got {self.c_min}")
         if not self.c_min < self.c_max:
@@ -91,13 +100,9 @@ class ControlLimits:
         if not np.all(wmin < wmax):
             raise ValueError(f"need omega_min < omega_max elementwise, got {wmin}, {wmax}")
 
-    @property
-    def lower(self) -> np.ndarray:
-        return np.concatenate([[self.c_min], self.omega_min])
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.concatenate([[self.c_max], self.omega_max])
+    def __reduce__(self):
+        # rebuild through __init__ in worker processes: pickling an array drops its read-only flag
+        return type(self), (self.c_min, self.c_max, self.omega_min, self.omega_max)
 
     def clamp(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.lower, self.upper)
@@ -108,7 +113,8 @@ class LinearizedStage:
     """Discrete-time linearization at one shooting stage.
 
     ``A`` and ``B`` are Jacobians of the discrete step map (RK4 plus
-    renormalization); ``defect`` is the shooting continuity residual.
+    renormalization); ``defect`` is the shooting continuity residual. Only
+    ``ShootingProblem.stages`` builds these, as views of its stacked arrays.
     """
 
     A: np.ndarray

@@ -87,9 +87,15 @@ class PredictionTrajectory:
 
 @dataclass
 class ShootingProblem:
-    """Stage-wise QP data for one prediction step."""
+    """Stage-wise QP data for one prediction step.
 
-    stages: list[LinearizedStage]  # length N, each with A, B, defect
+    ``A``, ``B`` and ``defects`` are the stacked stage arrays exactly as
+    :meth:`QuadrotorModel.discretize` and the shooting gaps give them.
+    """
+
+    A: np.ndarray  # (N, 10, 10) state Jacobians of the discrete step
+    B: np.ndarray  # (N, 10, 4) control Jacobians of the discrete step
+    defects: np.ndarray  # (N, 10) shooting continuity residuals
     lx: np.ndarray  # (N+1, 10) state reference errors of the prediction
     lu: np.ndarray  # (N, 4) control reference errors
     qs: np.ndarray  # (N+1, 10) per-stage state weights
@@ -101,7 +107,16 @@ class ShootingProblem:
 
     @property
     def horizon(self) -> int:
-        return len(self.stages)
+        return self.B.shape[0]
+
+    @property
+    def stages(self) -> list[LinearizedStage]:
+        """Per-stage views of ``A``, ``B`` and ``defects``, built on each read.
+
+        The solver never reads this; it exists for code that inspects one
+        stage at a time.
+        """
+        return [LinearizedStage(self.A[k], self.B[k], self.defects[k]) for k in range(self.horizon)]
 
 
 @dataclass
@@ -140,12 +155,12 @@ def build_qp(
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
     x_next, A, B = model.discretize(pred.xs[:-1], pred.us, dt)
-    defects = x_next - pred.xs[1:]
-    stages = [LinearizedStage(A[k], B[k], defects[k]) for k in range(N)]
 
     weights.validate()
     return ShootingProblem(
-        stages=stages,
+        A=A,
+        B=B,
+        defects=x_next - pred.xs[1:],
         lx=pred.xs - refs.xs[: N + 1],
         lu=pred.us - refs.us[:N],
         qs=np.tile(weights.q, (N + 1, 1)),
@@ -201,12 +216,21 @@ def _riccati_solve(
     K = np.empty((N, m, n + 1))  # [K | k]
     P = np.empty((N + 1, n + 1, n + 1))
     P[N] = C[N, z, z]
+    # buffers made once per call; H is formed as (G^T P) G, and another product order changes the last bits
+    Gt = G.transpose(0, 2, 1).copy()
+    GtP = np.empty((n + 1 + m, n + 1))
+    H = np.empty((n + 1 + m, n + 1 + m))
+    S = np.empty((n + 1, n + 1))
     for k in range(N - 1, -1, -1):
-        H = G[k].T @ P[k + 1] @ G[k] + C[k]
+        np.matmul(Gt[k], P[k + 1], out=GtP)
+        np.matmul(GtP, G[k], out=H)
+        H += C[k]
         gain = np.linalg.solve(H[u, u], H[u, z])
         np.negative(gain, out=K[k])
-        Pn = H[z, z] - H[z, u] @ gain
-        P[k] = 0.5 * (Pn + Pn.T)
+        np.matmul(H[z, u], gain, out=S)
+        np.subtract(H[z, z], S, out=S)
+        np.add(S, S.T, out=P[k])
+        P[k] *= 0.5
         P[k, n, n] = 0.0  # the cost-to-go constant is never used; zeroing it keeps it from growing
 
     zs = np.empty((N + 1, n + 1))
@@ -214,7 +238,7 @@ def _riccati_solve(
     zs[0, n] = 1.0
     closed = G[:, :, z] + G[:, :, u] @ K
     for k in range(N):
-        zs[k + 1] = closed[k] @ zs[k]
+        np.matmul(closed[k], zs[k], out=zs[k + 1])
     du = np.einsum("kij,kj->ki", K, zs[:-1]) + held
     lam = 2.0 * np.einsum("kij,kj->ki", P[:, :n], zs)
     return zs[:, :n].copy(), du, lam
@@ -224,8 +248,8 @@ def _kkt_residual(
     A, B, defects, qs, rs, qlin, rlin, gap, lo, hi, dx, du, lam
 ) -> float:
     """Max-norm KKT residual of the box-constrained problem at (dx, du, lam)."""
-    at_lo = np.isclose(du, lo, rtol=0.0, atol=1e-12)
-    at_hi = np.isclose(du, hi, rtol=0.0, atol=1e-12)
+    at_lo = np.abs(du - lo) <= 1e-12
+    at_hi = np.abs(du - hi) <= 1e-12
     dyn = np.einsum("kij,kj->ki", A, dx[:-1]) + np.einsum("kij,kj->ki", B, du) + defects - dx[1:]
     grad_u = 2.0 * rs * du + rlin + np.einsum("kji,kj->ki", B, lam[1:])
     # a control held at its upper bound needs mu = -grad_u >= 0, at its lower bound mu = grad_u >= 0
@@ -269,12 +293,10 @@ def solve_qp(
     this scaling.
     """
     N = prob.horizon
-    A = np.stack([s.A for s in prob.stages])
-    B = np.stack([s.B for s in prob.stages])
-    defects = np.stack([s.defect for s in prob.stages])
+    A, B, defects = prob.A, prob.B, prob.defects
     for name, arr in (("A", A), ("B", B), ("defects", defects), ("gap", prob.initial_gap),
                       ("lx", prob.lx), ("lu", prob.lu), ("q", prob.qs), ("r", prob.rs)):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise QpSolveError(f"non-finite QP data in {name}")
 
     scale = max(1.0, float(prob.qs.max()), float(prob.rs.max()))
@@ -320,7 +342,7 @@ def solve_qp(
         release = clamped & (mult < -dual_tol)
 
         if not viol_hi.any() and not viol_lo.any() and not release.any():
-            if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(du))):
+            if not (np.isfinite(dx).all() and np.isfinite(du).all()):
                 raise QpSolveError("QP solve produced non-finite iterates")
             res = _kkt_residual(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap, lo, hi, dx, du, lam)
             if res <= tol:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaptive_nmpc.adaptation import (
+    LINEAR_Q_MAX,
     AdaptConfig,
     compute_v,
     update_weights,
@@ -77,6 +78,12 @@ class TestLinearUpdate:
             for i in range(10):
                 qi = minimize_scalar_convex(lambda t: lam * t * t - v[i] * t, -10.0, 10.0)
                 assert abs(q[i] - qi) < 1e-8
+
+    def test_capped_at_linear_q_max(self):
+        cfg = AdaptConfig(lam=0.5, variant="linear")
+        # lam = 0.5 makes the uncapped weight equal to v
+        v = np.array([0.0, 1.0, 9.9e3, LINEAR_Q_MAX, 1.1e4, 1e300, np.inf, -5.0, -1e300, 0.5])
+        assert np.array_equal(update_weights_linear(v, cfg), np.minimum(v, LINEAR_Q_MAX))
 
     def test_stationarity_of_unprojected_minimizer(self):
         rng = np.random.default_rng(2)

@@ -10,7 +10,10 @@ and the set-up of ``noise-sweep``. They write only under ``perfbench/out/``.
 
 The model's step must also pass the benchmark's replay check, which compares
 every logged transition with the scalar RK4 oracle in ``perfbench/checks.py``;
-a test here runs that comparison directly, in about a second.
+a test here runs that comparison directly, in about a second. Another runs the
+benchmark's dense QP oracle ``checks.check_qp``, which reads each stage through
+``ShootingProblem.stages``, on QPs of a saturated run, and a third keeps that
+per-stage view off the control tick.
 """
 
 import subprocess
@@ -19,7 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
+from adaptive_nmpc import AdaptConfig, ControllerConfig, controller, harness, preset
 from adaptive_nmpc.dynamics import QUADROTOR
+from adaptive_nmpc.transcription import Q_MIN, ShootingProblem
 from helpers import SATURATED_BOX, random_unit_quat
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -67,3 +72,33 @@ def test_step_matches_replay_oracle():
         got = QUADROTOR.step(x, u, 0.05)
         worst = max(worst, float(np.max(np.abs(pred - got) / np.maximum(1.0, np.abs(got)))))
     assert worst <= checks.ROUND_OFF, f"step is {worst:.2e} from the replay oracle"
+
+
+def test_saturated_qps_pass_the_benchmark_oracle(monkeypatch):
+    # every 10th QP of agg2 adaptive under the saturated box, as the benchmark samples them
+    solves = []
+    solve_qp = controller.solve_qp
+
+    def keep(prob, *args, **kwargs):
+        sol = solve_qp(prob, *args, **kwargs)
+        solves.append((prob, sol))
+        return sol
+
+    monkeypatch.setattr(controller, "solve_qp", keep)
+    cfg = ControllerConfig(limits=SATURATED_BOX, adapt=AdaptConfig())
+    log = harness.run_closed_loop(preset("agg2"), cfg)
+    assert log.failures == 0
+    sampled = solves[9::10]
+    assert sum(int(np.any(sol.active)) for _, sol in sampled) > len(sampled) // 2  # bounds bind
+    for prob, sol in sampled:
+        assert checks.check_qp(prob, sol, Q_MIN, cfg.qp_tol) == []
+
+
+def test_tick_never_reads_per_stage_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("ShootingProblem.stages read on the tick path")
+
+    monkeypatch.setattr(ShootingProblem, "stages", property(refuse))
+    for adapt in (None, AdaptConfig()):
+        log = harness.run_closed_loop(preset("agg1"), ControllerConfig(limits=SATURATED_BOX, adapt=adapt))
+        assert log.failures == 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from adaptive_nmpc import cli
+from adaptive_nmpc.adaptation import LINEAR_Q_MAX
 from adaptive_nmpc.cli import main, read_simlog_csv, render_table, write_report_csv, write_simlog_csv
 from adaptive_nmpc.harness import Cell, CellResult, MetricsReport, SimLog
 from adaptive_nmpc.trajectories import ReferenceTrajectory, preset
@@ -234,6 +235,18 @@ class TestSimulate:
         assert rc == 1
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("sigma", ["50", "1e6"])
+    def test_linear_weights_stay_bounded_under_extreme_noise(self, tmp_path, sigma):
+        # unbounded, agg1 at lambda 0.01 reached a weight of 7.8e7 at sigma 50, and 3.1e16
+        # at sigma 1e6 with 14 failed ticks (exit 1)
+        out = tmp_path / "run"
+        args = ["--trajectory", "agg1", "--mode", "adaptive", "--variant", "linear", "--lambda", "0.01"]
+        assert main(["simulate", *args, "--noise-sigma", sigma, "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["controller_failures"] == 0
+        _, data = read_simlog_csv(out / "log.csv")
+        q = data[:, cli.SIMLOG_COLUMNS.index("q0"):]
+        assert q.max() == LINEAR_Q_MAX
 
     def test_runtime_failure_exit_code(self, tmp_path):
         rc = main(["simulate", "--trajectory", "file:/nonexistent.csv", "--out", str(tmp_path / "x")])

@@ -40,7 +40,7 @@ class TestInit:
         prob = build_qp(st.pred, win, st.weights, win.xs[0], cfg.limits, cfg.alpha, cfg.dt)
         assert np.abs(prob.lx).max() == 0.0
         assert np.abs(prob.initial_gap).max() == 0.0
-        assert max(np.abs(s.defect).max() for s in prob.stages) < 1e-12
+        assert np.abs(prob.defects).max() < 1e-12
 
     def test_preserves_fixed_weights_exactly(self):
         win = hover_window(N + 1)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,23 @@ class TestControlLimits:
         np.testing.assert_array_equal(clamped, [20.0, -3.0, 0.0, 2.0])
         assert np.all((lim.lower <= clamped) & (clamped <= lim.upper))
         assert not np.all((lim.lower <= u) & (u <= lim.upper))
+
+    def test_cached_bounds_are_read_only(self):
+        lim = ControlLimits(c_min=2.0, c_max=18.0, omega_min=[-1.0, -2.0, -3.0], omega_max=[1.5, 2.5, 3.5])
+        np.testing.assert_array_equal(lim.lower, [2.0, -1.0, -2.0, -3.0])
+        np.testing.assert_array_equal(lim.upper, [18.0, 1.5, 2.5, 3.5])
+        # one frozen box is shared by every run of a grid, in this process and in pool workers
+        for shared in (lim, pickle.loads(pickle.dumps(lim)), copy.deepcopy(lim)):
+            for arr in (shared.lower, shared.upper, shared.omega_min, shared.omega_max):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+            np.testing.assert_array_equal(shared.lower, lim.lower)
+            np.testing.assert_array_equal(shared.upper, lim.upper)
+        rng = np.random.default_rng(0)
+        u = rng.uniform(-30.0, 30.0, (50, 4))
+        lower = np.concatenate([[lim.c_min], lim.omega_min])
+        upper = np.concatenate([[lim.c_max], lim.omega_max])
+        np.testing.assert_array_equal(lim.clamp(u), np.clip(u, lower, upper))
 
 
 class TestStateControlContainers:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from adaptive_nmpc.dynamics import QUADROTOR, ControlLimits, LinearizedStage
+from adaptive_nmpc import transcription
+from adaptive_nmpc.dynamics import QUADROTOR, ControlLimits
 from adaptive_nmpc.trajectories import ReferenceWindow, preset
 from adaptive_nmpc.transcription import (
     PredictionTrajectory,
@@ -37,9 +38,10 @@ def hover_window(n, position=(0.0, 0.0, 1.0)):
 
 def shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits=None, u_pred=None, alpha=1.0):
     N = B.shape[0]
-    stages = [LinearizedStage(A[k], B[k], defects[k]) for k in range(N)]
     return ShootingProblem(
-        stages=stages,
+        A=A,
+        B=B,
+        defects=defects,
         lx=lx,
         lu=lu,
         qs=qs,
@@ -69,8 +71,7 @@ class TestBuildQp:
         assert np.abs(prob.lx).max() == 0.0
         assert np.abs(prob.lu).max() == 0.0
         assert np.abs(prob.initial_gap).max() == 0.0
-        for stage in prob.stages:
-            np.testing.assert_allclose(stage.defect, 0.0, atol=1e-12)
+        np.testing.assert_allclose(prob.defects, 0.0, atol=1e-12)
 
     def test_displaced_measurement_sets_gap(self):
         N = 4
@@ -89,9 +90,9 @@ class TestBuildQp:
         win = traj.window(10, N + 1)
         pred = PredictionTrajectory(win.xs.copy(), win.us[:N].copy())
         prob = build_qp(pred, win, default_weights(), win.xs[0], WIDE, 1.0, DT)
-        for k, stage in enumerate(prob.stages):
+        for k in range(N):
             nxt = QUADROTOR.step(pred.xs[k], pred.us[k], DT)
-            np.testing.assert_array_equal(stage.defect, nxt - pred.xs[k + 1])
+            np.testing.assert_array_equal(prob.defects[k], nxt - pred.xs[k + 1])
 
     def test_short_window_rejected(self):
         N = 5
@@ -222,13 +223,16 @@ class TestSolveQp:
             solve_qp(prob)
 
 
-def box_instance(rng, N):
+def box_instance(rng, N, tied=False):
     """Random stage QP whose box excludes the unconstrained minimizer, so bounds bind.
 
-    Returns the problem and the oracle's arguments (weights unnormalized,
-    box in step coordinates).
+    With ``tied``, controls 1 and 2 act through the same column of ``B`` as
+    control 0, a degenerate instance. Returns the problem and the oracle's
+    arguments (weights unnormalized, box in step coordinates).
     """
     A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, N)
+    if tied:
+        B[:, :, 1] = B[:, :, 2] = B[:, :, 0]
     _, du_free = dense_equality_qp(A, B, defects, qs, rs, qs * lx, rs * lu, gap)
     width = rng.uniform(0.2, 1.0, 4)
     limits = ControlLimits(c_min=1.0, c_max=1.0 + width[0], omega_min=-0.5 * width[1:], omega_max=0.5 * width[1:])
@@ -260,6 +264,36 @@ class TestBoxQpOracle:
                 np.testing.assert_array_equal(sol.active, active_o)
                 assert sol.kkt_residual <= 1e-6
             assert solve_qp(prob, active=active_o).sweeps == 1
+
+    @pytest.mark.parametrize("N, seed", [(1, 2086), (2, 1592)])
+    def test_cycling_falls_back_to_single_release(self, N, seed, monkeypatch):
+        # three controls through one column of B: releasing every wrong-sign
+        # multiplier at once trades them against each other until a working
+        # set comes back; from then on the loop releases one control at a time
+        prob, oracle_args = box_instance(np.random.default_rng(seed), N, tied=True)
+        dx_o, du_o, _ = enumerated_box_qp(*oracle_args)
+        sweeps = []
+        riccati = transcription._riccati_solve
+
+        def record(*args):
+            clamp_val, clamped = args[-2:]
+            sweeps.append((clamped.tobytes() + clamp_val.tobytes(), int(clamped.sum())))
+            return riccati(*args)
+
+        monkeypatch.setattr(transcription, "_riccati_solve", record)
+        for start in (None, np.full((N, 4), -1), np.full((N, 4), 1)):
+            sweeps.clear()
+            sol = solve_qp(prob, active=start)
+            sets, held = zip(*sweeps)
+            again = next(j for j in range(len(sets)) if sets[j] in sets[:j])
+            # a step either adds violated bounds or releases; releases show as drops in the held count
+            drops = [(j, held[j] - held[j + 1]) for j in range(len(held) - 1) if held[j + 1] < held[j]]
+            assert max(d for j, d in drops if j < again) >= 2
+            after = [d for j, d in drops if j >= again]
+            assert after and all(d == 1 for d in after)
+            assert np.abs(sol.dx - dx_o).max() < 1e-9
+            assert np.abs(sol.du - du_o).max() < 1e-9
+            assert sol.kkt_residual <= 1e-6
 
     def test_start_set_ignored_without_limits(self):
         rng = np.random.default_rng(7)
