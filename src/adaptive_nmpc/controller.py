@@ -44,24 +44,22 @@ def benchmark_weights() -> WeightVector:
     damped lightly, and the control weight favors smooth commands. This is
     the profile the adaptive update is benchmarked against.
     """
-    q = np.ones(10)
-    q[3:6] = 0.3
-    return WeightVector(q, np.full(4, 5.0))
+    return WeightVector((1.0, 1.0, 1.0, 0.3, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0), (5.0, 5.0, 5.0, 5.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     horizon: int = 19
     dt: float = 0.05
     alpha: float = 1.0
     adapt: AdaptConfig | None = None
-    fixed_weights: WeightVector = field(default_factory=benchmark_weights)
-    limits: ControlLimits | None = field(default_factory=ControlLimits)
+    fixed_weights: WeightVector = benchmark_weights()
+    limits: ControlLimits | None = ControlLimits()
     alternations: int = 2
     conv_tol: float = 1e-4
     qp_tol: float = 1e-6
     qp_max_iter: int = 200
-    model: QuadrotorModel = field(default_factory=lambda: QUADROTOR)
+    model: QuadrotorModel = QUADROTOR
 
     def __post_init__(self):
         if self.horizon < 2:
@@ -76,7 +74,6 @@ class ControllerConfig:
             raise ValueError(
                 f"sub_horizon {self.adapt.sub_horizon} exceeds horizon {self.horizon}"
             )
-        self.fixed_weights.validate()
 
 
 @dataclass
@@ -117,8 +114,7 @@ def init_controller(cfg: ControllerConfig, refs: ReferenceWindow) -> ControllerS
     """Warm-start the prediction from the first reference window."""
     if len(refs) < cfg.horizon + 1:
         raise ValueError(f"window of length {len(refs)} too short for horizon {cfg.horizon}")
-    weights = WeightVector(cfg.fixed_weights.q.copy(), cfg.fixed_weights.r.copy())
-    return ControllerState(pred=_pred_from_window(refs, cfg.horizon), weights=weights)
+    return ControllerState(pred=_pred_from_window(refs, cfg.horizon), weights=cfg.fixed_weights)
 
 
 def _shift(pred: PredictionTrajectory, dt: float, model: QuadrotorModel) -> PredictionTrajectory:
@@ -171,15 +167,16 @@ def nmpc_tick(
     except QpSolveError as err:
         diag.failed = True
         diag.message = str(err)
-        diag.weights_q = weights.q.copy()
+        diag.weights_q = np.array(weights.q)
         held = np.array(state.last_command if state.last_command is not None else refs.us[0], dtype=float)
         command = cfg.limits.clamp(held) if cfg.limits is not None else held
         # prediction is stale after a failed solve: rebuild from refs next tick
         next_state = ControllerState(pred=None, weights=weights, last_command=command)
         return command, next_state, diag
 
-    command = cfg.limits.clamp(pred.us[0]) if cfg.limits is not None else pred.us[0].copy()
-    diag.weights_q = weights.q.copy()
+    # apply_step has already clamped the prediction's controls to the box
+    command = pred.us[0].copy()
+    diag.weights_q = np.array(weights.q)
     next_state = ControllerState(
         pred=_shift(pred, cfg.dt, cfg.model),
         weights=weights,

@@ -27,7 +27,7 @@ is the interface the controller uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,43 +66,40 @@ class State:
 
 @dataclass(frozen=True)
 class ControlLimits:
-    """Box limits on the control vector.
+    """Box limits on the control vector, an immutable value.
 
     ``omega_min``/``omega_max`` accept scalars (broadcast per axis) or
-    length-3 arrays. Thrust cannot be negative: ``c_min >= 0``.
-
-    ``lower`` = ``[c_min, *omega_min]`` and ``upper`` = ``[c_max, *omega_max]``
-    are built once here. They and the rate bounds are read-only, because one
-    frozen instance is shared by every run of a grid.
+    length-3 sequences and are kept as 3-tuples of floats, so boxes compare
+    and hash by value whichever spelling built them. Thrust cannot be
+    negative: ``c_min >= 0``.
     """
 
     c_min: float = 1.0
     c_max: float = 25.0
-    omega_min: np.ndarray | float = -5.0
-    omega_max: np.ndarray | float = 5.0
-    lower: np.ndarray = field(init=False, repr=False, compare=False)
-    upper: np.ndarray = field(init=False, repr=False, compare=False)
+    omega_min: tuple[float, float, float] = (-5.0, -5.0, -5.0)
+    omega_max: tuple[float, float, float] = (5.0, 5.0, 5.0)
 
     def __post_init__(self):
         object.__setattr__(self, "c_min", float(self.c_min))
         object.__setattr__(self, "c_max", float(self.c_max))
-        wmin = np.broadcast_to(np.asarray(self.omega_min, dtype=float), (3,)).copy()
-        wmax = np.broadcast_to(np.asarray(self.omega_max, dtype=float), (3,)).copy()
-        lower = np.concatenate([[self.c_min], wmin])
-        upper = np.concatenate([[self.c_max], wmax])
-        for name, arr in (("omega_min", wmin), ("omega_max", wmax), ("lower", lower), ("upper", upper)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name in ("omega_min", "omega_max"):
+            object.__setattr__(self, name, tuple(np.broadcast_to(getattr(self, name), (3,)).astype(float).tolist()))
         if self.c_min < 0.0:
             raise ValueError(f"c_min must be non-negative, got {self.c_min}")
         if not self.c_min < self.c_max:
             raise ValueError(f"need c_min < c_max, got [{self.c_min}, {self.c_max}]")
-        if not np.all(wmin < wmax):
-            raise ValueError(f"need omega_min < omega_max elementwise, got {wmin}, {wmax}")
+        if not all(lo < hi for lo, hi in zip(self.omega_min, self.omega_max)):
+            raise ValueError(f"need omega_min < omega_max elementwise, got {self.omega_min}, {self.omega_max}")
 
-    def __reduce__(self):
-        # rebuild through __init__ in worker processes: pickling an array drops its read-only flag
-        return type(self), (self.c_min, self.c_max, self.omega_min, self.omega_max)
+    @property
+    def lower(self) -> np.ndarray:
+        """``[c_min, *omega_min]`` as a new ``(4,)`` array on each read."""
+        return np.array((self.c_min, *self.omega_min))
+
+    @property
+    def upper(self) -> np.ndarray:
+        """``[c_max, *omega_max]`` as a new ``(4,)`` array on each read."""
+        return np.array((self.c_max, *self.omega_max))
 
     def clamp(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.lower, self.upper)
@@ -298,11 +295,12 @@ def _step_jacobians(x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray
     return x_next, A, B
 
 
+@dataclass(frozen=True)
 class QuadrotorModel:
     """Discrete-time transition map consumed by the shooting transcription.
 
     Operates on raw state/control vectors; stateless and safe to share
-    across threads.
+    across threads. Instances compare equal, also after a pickle round trip.
     """
 
     def step(self, x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:

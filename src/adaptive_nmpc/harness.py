@@ -75,7 +75,9 @@ def inject_noise(x: State, sigma: float, rng: np.random.Generator) -> State:
     nu /= np.linalg.norm(nu)
     p_norm = float(np.linalg.norm(x.p_WB))
     nu *= p_norm if p_norm > 0.0 else 1.0
-    return State(x.p_WB + sigma * nu, x.v_WB, x.q_WB)
+    # a position beyond float64 range becomes inf, which the QP's finite-data check turns into a failed tick
+    with np.errstate(over="ignore"):
+        return State(x.p_WB + sigma * nu, x.v_WB, x.q_WB)
 
 
 def metric_total_error(log: SimLog) -> float:

@@ -20,7 +20,7 @@ weight-normalized problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,24 +47,24 @@ class QpSolveError(RuntimeError):
         self.kkt_residual = kkt_residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightVector:
-    """Diagonal state and control weights (q >= 0, r > 0)."""
+    """Diagonal state and control weights (q >= 0, r > 0) as float tuples, an immutable value."""
 
-    q: np.ndarray
-    r: np.ndarray
+    q: tuple[float, ...]  # (10,)
+    r: tuple[float, ...]  # (4,)
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).reshape(STATE_DIM)
-        self.r = np.asarray(self.r, dtype=float).reshape(CONTROL_DIM)
-
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.q)) or not np.all(np.isfinite(self.r)):
+        q = np.asarray(self.q, dtype=float).reshape(STATE_DIM)
+        r = np.asarray(self.r, dtype=float).reshape(CONTROL_DIM)
+        if not np.all(np.isfinite(q)) or not np.all(np.isfinite(r)):
             raise ValueError("weights must be finite")
-        if np.any(self.q < 0.0):
-            raise ValueError(f"state weights must be non-negative, got {self.q}")
-        if np.any(self.r <= 0.0):
-            raise ValueError(f"control weights must be positive, got {self.r}")
+        if np.any(q < 0.0):
+            raise ValueError(f"state weights must be non-negative, got {q}")
+        if np.any(r <= 0.0):
+            raise ValueError(f"control weights must be positive, got {r}")
+        object.__setattr__(self, "q", tuple(q.tolist()))
+        object.__setattr__(self, "r", tuple(r.tolist()))
 
 
 @dataclass
@@ -102,7 +102,7 @@ class ShootingProblem:
     rs: np.ndarray  # (N, 4) per-stage control weights
     initial_gap: np.ndarray  # (10,)
     u_pred: np.ndarray  # (N, 4) predicted controls the box limits act on
-    limits: ControlLimits | None = field(default_factory=ControlLimits)
+    limits: ControlLimits | None = ControlLimits()
     alpha: float = 1.0
 
     @property
@@ -155,8 +155,6 @@ def build_qp(
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
     x_next, A, B = model.discretize(pred.xs[:-1], pred.us, dt)
-
-    weights.validate()
     return ShootingProblem(
         A=A,
         B=B,
@@ -379,5 +377,5 @@ def apply_step(
     xs = model.project(pred.xs + alpha * sol.dx)
     us = pred.us + alpha * sol.du
     if limits is not None:
-        us = np.clip(us, limits.lower, limits.upper)
+        us = limits.clamp(us)
     return PredictionTrajectory(xs, us)

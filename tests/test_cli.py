@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -247,6 +248,24 @@ class TestSimulate:
         _, data = read_simlog_csv(out / "log.csv")
         q = data[:, cli.SIMLOG_COLUMNS.index("q0"):]
         assert q.max() == LINEAR_Q_MAX
+
+    @pytest.mark.parametrize("sigma", ["1e300", "1e308"])
+    def test_hostile_noise_fails_its_tick_quietly(self, tmp_path, capsys, sigma):
+        # at 1e308 the corrupted position overflows to inf; at either sigma the QP rejects that tick
+        out = tmp_path / "run"
+        args = ["--trajectory", "agg1", "--mode", "adaptive", "--noise-sigma", sigma, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", *args]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "warning: controller failed on 1 ticks (held command)" in err
+        assert "RuntimeWarning" not in err
+        assert json.loads((out / "summary.json").read_text())["controller_failures"] == 1
+        # the noise tick, drawn as run_closed_loop draws it for seed 0
+        tau = int(np.random.default_rng(0).integers(0, len(preset("agg1"))))
+        _, _, cols = read_text_columns(out / "log.csv")
+        assert [i for i, v in enumerate(cols["kkt"]) if v == ""] == [tau]
 
     def test_runtime_failure_exit_code(self, tmp_path):
         rc = main(["simulate", "--trajectory", "file:/nonexistent.csv", "--out", str(tmp_path / "x")])

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -150,7 +154,7 @@ class TestTick:
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N)
         st = init_controller(cfg, win)
-        q_before = st.weights.q.copy()
+        q_before = st.weights.q  # a tuple: ticks replace weights, never write into them
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.5
         for _ in range(3):
@@ -356,3 +360,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
             ControllerConfig(alpha=alpha)
         assert ControllerConfig(alpha=0.5).alpha == 0.5
+
+
+class TestConfigValue:
+    @pytest.mark.parametrize("adapt", [None, AdaptConfig(lam=0.1, sub_horizon=5, variant="linear")])
+    def test_equal_after_pickle_and_deepcopy(self, adapt):
+        w = WeightVector(np.arange(1.0, 11.0), np.ones(4))
+        cfg = ControllerConfig(horizon=N, adapt=adapt, fixed_weights=w, limits=SATURATED_BOX)
+        for twin in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+            assert twin == cfg and hash(twin) == hash(cfg)
+        assert ControllerConfig(adapt=adapt) == ControllerConfig(adapt=adapt)
+        assert dataclasses.replace(cfg, limits=ControlLimits()) != cfg
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.horizon = 5

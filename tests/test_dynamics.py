@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -167,22 +168,38 @@ class TestControlLimits:
         assert np.all((lim.lower <= clamped) & (clamped <= lim.upper))
         assert not np.all((lim.lower <= u) & (u <= lim.upper))
 
-    def test_cached_bounds_are_read_only(self):
+    def test_shared_box_cannot_be_altered(self):
         lim = ControlLimits(c_min=2.0, c_max=18.0, omega_min=[-1.0, -2.0, -3.0], omega_max=[1.5, 2.5, 3.5])
-        np.testing.assert_array_equal(lim.lower, [2.0, -1.0, -2.0, -3.0])
-        np.testing.assert_array_equal(lim.upper, [18.0, 1.5, 2.5, 3.5])
+        lower, upper = [2.0, -1.0, -2.0, -3.0], [18.0, 1.5, 2.5, 3.5]
         # one frozen box is shared by every run of a grid, in this process and in pool workers
         for shared in (lim, pickle.loads(pickle.dumps(lim)), copy.deepcopy(lim)):
-            for arr in (shared.lower, shared.upper, shared.omega_min, shared.omega_max):
-                with pytest.raises(ValueError):
-                    arr[0] = 0.0
-            np.testing.assert_array_equal(shared.lower, lim.lower)
-            np.testing.assert_array_equal(shared.upper, lim.upper)
+            shared.lower[:] = 0.0  # each read returns a new array
+            shared.upper[:] = 0.0
+            for rates in (shared.omega_min, shared.omega_max):
+                with pytest.raises(TypeError):
+                    rates[0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                shared.c_max = 0.0
+            np.testing.assert_array_equal(shared.lower, lower)
+            np.testing.assert_array_equal(shared.upper, upper)
         rng = np.random.default_rng(0)
         u = rng.uniform(-30.0, 30.0, (50, 4))
-        lower = np.concatenate([[lim.c_min], lim.omega_min])
-        upper = np.concatenate([[lim.c_max], lim.omega_max])
         np.testing.assert_array_equal(lim.clamp(u), np.clip(u, lower, upper))
+
+    def test_compares_and_hashes_by_value(self):
+        scalar = ControlLimits(c_min=7.0, c_max=12.5, omega_min=-1.0, omega_max=1.0)
+        per_axis = ControlLimits(c_min=7, c_max=12.5, omega_min=np.full(3, -1.0), omega_max=[1.0, 1.0, 1.0])
+        assert scalar == per_axis
+        assert hash(scalar) == hash(per_axis)
+        assert ControlLimits() == ControlLimits()
+        assert hash(ControlLimits()) == hash(ControlLimits())
+        for other in (
+            ControlLimits(c_min=7.0, c_max=12.0, omega_min=-1.0, omega_max=1.0),
+            ControlLimits(c_min=7.0, c_max=12.5, omega_min=[-1.0, -1.0, -0.5], omega_max=1.0),
+            ControlLimits(),
+        ):
+            assert other != scalar
+        assert len({scalar, per_axis, ControlLimits()}) == 2
 
 
 class TestStateControlContainers:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -54,12 +57,25 @@ def shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits=None, u_pred
 
 
 class TestWeightVector:
-    def test_validate(self):
-        WeightVector(np.ones(10), np.ones(4)).validate()
-        with pytest.raises(ValueError):
-            WeightVector(-np.ones(10), np.ones(4)).validate()
-        with pytest.raises(ValueError):
-            WeightVector(np.ones(10), np.zeros(4)).validate()
+    def test_rejected_when_built(self):
+        WeightVector(np.zeros(10), np.full(4, 1e-12))
+        for q, r in (
+            (np.full(10, np.nan), np.ones(4)),
+            (np.full(10, np.inf), np.ones(4)),
+            (np.ones(10), np.full(4, np.inf)),
+            (-np.ones(10), np.ones(4)),
+            (np.ones(10), np.zeros(4)),
+            (np.ones(10), -np.ones(4)),
+        ):
+            with pytest.raises(ValueError):
+                WeightVector(q, r)
+
+    def test_value_survives_pickle_and_deepcopy(self):
+        w = WeightVector(np.arange(1.0, 11.0), [0.5, 1.0, 2.0, 4.0])
+        assert w.q == tuple(np.arange(1.0, 11.0)) and w.r == (0.5, 1.0, 2.0, 4.0)
+        for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
+            assert twin == w and hash(twin) == hash(w)
+        assert WeightVector(np.ones(10), np.ones(4)) != WeightVector(np.ones(10), np.full(4, 2.0))
 
 
 class TestBuildQp:
@@ -113,8 +129,8 @@ class TestBuildQp:
             np.testing.assert_array_equal(row, w.q)
         for row in prob.rs:
             np.testing.assert_array_equal(row, w.r)
-        with pytest.raises(ValueError):
-            build_qp(pred, win, WeightVector(-w.q, w.r), win.xs[0], WIDE, 1.0, DT)
+        with pytest.raises(ValueError):  # negative weights never reach the QP
+            build_qp(pred, win, WeightVector(np.negative(w.q), w.r), win.xs[0], WIDE, 1.0, DT)
 
 
 class TestSolveQp:
