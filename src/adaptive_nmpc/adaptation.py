@@ -8,9 +8,9 @@ are accumulated over the sub-horizon and mapped to new diagonal state
 weights. The plain linear form ``q = sum(v) / (2*lam + gamma)`` is the
 exact minimizer of ``lam q'q - sum(v)'q`` (the controller clips it at
 zero so the weight matrix stays positive semidefinite), capped above at
-:data:`LINEAR_Q_MAX`; the exponential form ``q = exp(sum(v) / (2*lam + gamma))``
-is the variant used by the benchmark defaults (neutral all-ones weights
-under perfect tracking).
+:data:`LINEAR_Q_MAX`; the exponential form ``q = exp(sum(v) / (2*lam + gamma))``,
+its exponent capped at :data:`EXP_CLAMP`, is the variant used by the
+benchmark defaults (neutral all-ones weights under perfect tracking).
 """
 
 from __future__ import annotations
@@ -29,23 +29,22 @@ VARIANTS = ("linear", "exponential")
 #: sigma = 5), so their results do not depend on it.
 LINEAR_Q_MAX = 1e4
 
+#: Upper bound on the exponent of the exponential update. It keeps the
+#: largest weight boost near exp(2) ~ 7.4: large enough for every benchmark
+#: gain observed, small enough that a corrupted measurement cannot drive the
+#: controller into relay-like saturation or push the QP weight ratio beyond
+#: what float64 can certify.
+EXP_CLAMP = 2.0
+
 
 @dataclass(frozen=True)
 class AdaptConfig:
-    """Parameters of the weight update.
-
-    ``exp_clamp`` bounds the exponent of the exponential variant. The
-    default keeps the largest weight boost near exp(2) ~ 7.4: large enough
-    for every benchmark gain observed, small enough that a corrupted
-    measurement cannot drive the controller into relay-like saturation or
-    push the QP weight ratio beyond what float64 can certify.
-    """
+    """Parameters of the weight update."""
 
     lam: float = 1.0
     gamma: float = 0.0
     sub_horizon: int = 8
     variant: str = "exponential"
-    exp_clamp: float = 2.0
 
     def __post_init__(self):
         if not self.lam > 0.0:
@@ -77,8 +76,8 @@ def update_weights_linear(v_sum, cfg: AdaptConfig) -> np.ndarray:
 
 
 def update_weights_exp(v_sum, cfg: AdaptConfig) -> np.ndarray:
-    """Exponential weight map with clamped argument; always positive."""
-    arg = np.minimum(np.asarray(v_sum, dtype=float) / cfg.denom, cfg.exp_clamp)
+    """Exponential weight map with its argument clamped at :data:`EXP_CLAMP`; always positive."""
+    arg = np.minimum(np.asarray(v_sum, dtype=float) / cfg.denom, EXP_CLAMP)
     return np.exp(arg)
 
 

@@ -128,19 +128,6 @@ def _quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
-def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a (x) b, scalar-first, batched."""
-    aw, av = a[..., :1], a[..., 1:]
-    bw, bv = b[..., :1], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
-    v = aw * bv + bw * av + np.cross(av, bv)
-    return np.concatenate([w, v], axis=-1)
-
-
-def _quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply R(q) to v: (w^2 - u.u) v + 2 (u.v) u + 2 w (u x v)."""
     w = q[..., :1]

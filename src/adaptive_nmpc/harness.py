@@ -102,9 +102,12 @@ def run_closed_loop(
     cfg: ControllerConfig,
     noise: NoiseConfig | None = None,
     seed: int = 0,
-    x0: State | None = None,
+    x0: np.ndarray | None = None,
 ) -> SimLog:
-    """Simulate the controller against the nominal plant over the whole trajectory."""
+    """Simulate the controller against the nominal plant over the whole trajectory.
+
+    ``x0`` is the ``(10,)`` start state; None starts on the reference's first point.
+    """
     L = len(traj)
     model = cfg.model
     tick = baseline_tick if cfg.adapt is None else nmpc_tick
@@ -117,7 +120,7 @@ def run_closed_loop(
         tau = int(rng.integers(0, L))
 
     state = init_controller(cfg, traj.window(0, cfg.horizon + 1))
-    x_true = (x0.as_vector() if x0 is not None else traj.xs[0]).copy()
+    x_true = np.array(traj.xs[0] if x0 is None else x0, dtype=float)
 
     log = SimLog(
         ts=traj.ts.copy(),
@@ -246,8 +249,11 @@ def run_cell(cell: Cell, base: ControllerConfig, seed: int = 0) -> CellResult:
 
 
 def grid_workers(requested: int | None = None) -> int:
+    """``requested`` workers, else one per CPU this process may run on; :data:`THREADS_ENV` caps either."""
     cap = os.environ.get(THREADS_ENV)
-    n = requested if requested is not None else (os.cpu_count() or 1)
+    n = requested
+    if n is None:
+        n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
     if cap:
         try:
             n = min(n, max(1, int(cap)))

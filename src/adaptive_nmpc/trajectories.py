@@ -22,14 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (
-    CONTROL_DIM,
-    GRAVITY,
-    STATE_DIM,
-    _quat_conjugate,
-    _quat_multiply,
-    _quat_normalize,
-)
+from .dynamics import CONTROL_DIM, GRAVITY, STATE_DIM, _quat_normalize
 
 #: Columns of the trajectory CSV interchange format (header row required).
 CSV_COLUMNS = (
@@ -84,7 +77,8 @@ class ReferenceTrajectory:
         idx = np.minimum(np.arange(start, start + length), len(self) - 1)
         return ReferenceWindow(self.xs[idx], self.us[idx])
 
-    def validate(self, v_max: float = 20.0) -> None:
+    def validate(self) -> None:
+        """Reject non-finite values, uneven sampling, non-unit quaternions and jumps of 20 m/s or more."""
         if len(self) < 2:
             raise ValueError("trajectory needs at least 2 points")
         if not np.all(np.isfinite(self.xs)) or not np.all(np.isfinite(self.us)):
@@ -96,8 +90,8 @@ class ReferenceTrajectory:
         if np.abs(qnorm - 1.0).max() > 1e-9:
             raise ValueError("reference quaternions are not unit norm")
         jump = np.linalg.norm(np.diff(self.xs[:, 0:3], axis=0), axis=1)
-        if jump.max() >= v_max * self.dt:
-            raise ValueError(f"position jump {jump.max():.3f} exceeds v_max*dt")
+        if jump.max() >= 20.0 * self.dt:
+            raise ValueError(f"position jump {jump.max():.3f} reaches 20 m/s * dt")
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -160,12 +154,20 @@ def derive_reference_controls(
     q = np.column_stack([w, -z_b[:, 1], z_b[:, 0], np.zeros(L)])
     q = _quat_normalize(q)
 
-    # body rates from the attitude sequence: w = 2 vec(conj(q) (x) dq/dt)
+    # body rates from the attitude sequence: w = 2 vec(conj(q) (x) dq/dt), by component
     dq = np.empty_like(q)
     dq[1:-1] = (q[2:] - q[:-2]) / (2.0 * dt)
     dq[0] = (q[1] - q[0]) / dt
     dq[-1] = (q[-1] - q[-2]) / dt
-    omega = 2.0 * _quat_multiply(_quat_conjugate(q), dq)[:, 1:]
+    qw, qx, qy, qz = q.T
+    dw, dx, dy, dz = dq.T
+    omega = 2.0 * np.column_stack(
+        [
+            (qw * dx - dw * qx) + (qz * dy - qy * dz),
+            (qw * dy - dw * qy) + (qx * dz - qz * dx),
+            (qw * dz - dw * qz) + (qy * dx - qx * dy),
+        ]
+    )
 
     xs = np.hstack([pos, vel, q])
     us = np.hstack([c[:, None], omega])
@@ -182,13 +184,11 @@ def _time_grid(duration: float, dt: float) -> np.ndarray:
     return np.arange(n + 1) * dt
 
 
-def gen_circle(
-    radius: float, period: float, altitude: float, dt: float, laps: int = 1, name: str = "circle"
-) -> ReferenceTrajectory:
-    """Constant-speed circle in the x-y plane at fixed altitude."""
-    if radius <= 0 or period <= 0 or dt <= 0 or laps <= 0:
+def gen_circle(radius: float, period: float, altitude: float, dt: float, name: str = "circle") -> ReferenceTrajectory:
+    """One lap of a constant-speed circle in the x-y plane at fixed altitude."""
+    if radius <= 0 or period <= 0 or dt <= 0:
         raise ValueError("circle parameters must be positive")
-    ts = _time_grid(laps * period, dt)
+    ts = _time_grid(period, dt)
     th = 2.0 * np.pi * ts / period
     rate = 2.0 * np.pi / period
     pos = np.column_stack([radius * np.cos(th), radius * np.sin(th), np.full_like(ts, altitude)])
@@ -254,7 +254,7 @@ def gen_diamond(side: float, lap_time: float, altitude: float, dt: float, name: 
 def preset(name: str, dt: float = 0.05) -> ReferenceTrajectory:
     """One of the four shipped benchmark trajectories."""
     if name == "circle":
-        return gen_circle(radius=2.0, period=6.0, altitude=1.5, dt=dt, laps=1, name=name)
+        return gen_circle(radius=2.0, period=6.0, altitude=1.5, dt=dt, name=name)
     if name == "diamond":
         return gen_diamond(side=2.0, lap_time=8.0, altitude=1.5, dt=dt, name=name)
     if name == "agg1":

@@ -40,11 +40,7 @@ Q_MIN = 1e-6
 
 
 class QpSolveError(RuntimeError):
-    """QP solve failed; carries the last KKT residual for diagnostics."""
-
-    def __init__(self, message: str, kkt_residual: float = float("nan")):
-        super().__init__(message)
-        self.kkt_residual = kkt_residual
+    """QP solve failed; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -151,8 +147,6 @@ def build_qp(
     N = pred.horizon
     if len(refs) < N + 1:
         raise ValueError(f"reference window of length {len(refs)} too short for horizon {N}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
     x_next, A, B = model.discretize(pred.xs[:-1], pred.us, dt)
     return ShootingProblem(
@@ -312,8 +306,6 @@ def solve_qp(
     else:
         lo = np.broadcast_to(prob.limits.lower, prob.u_pred.shape) - prob.u_pred
         hi = np.broadcast_to(prob.limits.upper, prob.u_pred.shape) - prob.u_pred
-        if np.any(lo > hi):
-            raise QpSolveError("infeasible control box bounds")
         if active is not None:
             active = np.asarray(active)
             if active.shape != act.shape or np.any(np.abs(active) > 1):
@@ -362,8 +354,8 @@ def solve_qp(
             cycling = True
         seen_sets.add(sig)
     else:
-        raise QpSolveError(f"active-set loop did not converge within {max_iter} iterations", res)
-    raise QpSolveError(f"KKT residual {res:.3e} exceeds tolerance {tol:.1e}", res)
+        raise QpSolveError(f"active-set loop did not converge within {max_iter} iterations")
+    raise QpSolveError(f"KKT residual {res:.3e} exceeds tolerance {tol:.1e}")
 
 
 def apply_step(

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from adaptive_nmpc.dynamics import _QUAT, _VEL, GRAVITY, ControlLimits, State, _quat_multiply, _rotate
+from adaptive_nmpc.dynamics import _QUAT, _VEL, GRAVITY, ControlLimits, State
 from adaptive_nmpc.transcription import Q_MIN, WeightVector
 
 #: The control box of the benchmark's ``saturated`` workload: below the
@@ -39,14 +39,38 @@ def in_box(limits, u, tol=1e-9):
 
 
 def quat_to_rotmat(q):
-    """Textbook scalar-first quaternion to 3x3 rotation matrix."""
-    w, x, y, z = q
-    return np.array(
+    """Textbook scalar-first quaternion to rotation matrix, batched: ``(..., 4) -> (..., 3, 3)``.
+
+    The homogeneous form, every entry quadratic in ``q`` (the first diagonal
+    entry is ``w^2 + x^2 - y^2 - z^2``, not ``1 - 2 (y^2 + z^2)``), so a
+    quaternion of norm ``s`` gives ``s^2 R``. That is also what the model's
+    vector field computes between renormalizations, in the RK4 stages.
+    """
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    rows = [
+        [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def hamilton_product(a, b):
+    """Textbook Hamilton product ``a (x) b`` of scalar-first quaternions, batched.
+
+    Scalar part ``aw bw - av.bv``, vector part ``(aw bv + bw av) + av x bv``,
+    written out by component.
+    """
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
+            aw * bw - (ax * bx + ay * by + az * bz),
+            (aw * bx + bw * ax) + (ay * bz - az * by),
+            (aw * by + bw * ay) + (az * bx - ax * bz),
+            (aw * bz + bw * az) + (ax * by - ay * bx),
+        ],
+        axis=-1,
     )
 
 
@@ -77,16 +101,16 @@ def random_batch(draw, rng, batch):
 def deriv_reference(x, u):
     """The vector field as R(q) applied to the body thrust plus a Hamilton product.
 
-    A second form of ``dynamics._deriv``, built from the library's quaternion
-    helpers, which ``test_dynamics`` checks against the textbook rotation matrix.
+    A second form of ``dynamics._deriv``, built only from :func:`quat_to_rotmat`
+    and :func:`hamilton_product`, so it shares no code with the library.
     """
     q = x[..., _QUAT]
     c = u[..., :1]
     omega = u[..., 1:]
     zeros = np.zeros_like(c)
     thrust_body = np.concatenate([zeros, zeros, c], axis=-1)
-    dv = _rotate(q, thrust_body) + _GRAVITY_VEC
-    dq = 0.5 * _quat_multiply(q, np.concatenate([zeros, omega], axis=-1))
+    dv = (quat_to_rotmat(q) @ thrust_body[..., None])[..., 0] + _GRAVITY_VEC
+    dq = 0.5 * hamilton_product(q, np.concatenate([zeros, omega], axis=-1))
     return np.concatenate([x[..., _VEL], dv, dq], axis=-1)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaptive_nmpc.adaptation import (
+    EXP_CLAMP,
     LINEAR_Q_MAX,
     AdaptConfig,
     compute_v,
@@ -109,13 +110,14 @@ class TestExpUpdate:
     def test_clamp_boundary_no_overflow(self):
         import mpmath
 
-        cfg = AdaptConfig(lam=0.5, gamma=0.0, exp_clamp=30.0)
+        cfg = AdaptConfig(lam=0.5, gamma=0.0)
         v = np.full(10, 1e6)
         q = update_weights_exp(v, cfg)
         assert np.all(np.isfinite(q))
-        # clamped exactly at exp(30); reference value from extended precision
-        expected = float(mpmath.exp(mpmath.mpf(30)))
-        assert np.all(q == np.exp(30.0))
+        # clamped exactly at exp(EXP_CLAMP) = exp(2); reference value from extended precision
+        assert EXP_CLAMP == 2.0
+        expected = float(mpmath.exp(mpmath.mpf(2)))
+        assert np.all(q == np.exp(EXP_CLAMP))
         assert abs(q[0] - expected) <= abs(expected) * 1e-15
 
     def test_always_positive(self):

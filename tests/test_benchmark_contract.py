@@ -4,9 +4,13 @@
 ``harness.inject_noise``, ``QuadrotorModel.step``/``discretize``,
 ``ShootingProblem.stages``, ``State.as_vector``, ``AdaptConfig(variant="exponential")``
 and more), so deleting or renaming one of them breaks the benchmark without
-failing any other test. These runs exercise every wrapper and check once
-each: the self-test of the output checks, one traced round of ``saturated``
-and the set-up of ``noise-sweep``. They write only under ``perfbench/out/``.
+failing any other test. These runs each check the benchmark once: the
+self-test of its output checks, one traced round of ``saturated``, the set-up
+of ``noise-sweep`` and, marked ``slow``, one untraced round of ``noise-sweep``
+(its pool patch of ``harness.ProcessPoolExecutor``, ``run_experiment_grid``'s
+``max_workers``, the report writer and the Table 3 renderer). Not run here:
+``track``, an untraced ``saturated`` round and the traced ``noise-sweep``
+(its serial column). They write only under ``perfbench/out/``.
 
 The model's step must also pass the benchmark's replay check, which compares
 every logged transition with the scalar RK4 oracle in ``perfbench/checks.py``;
@@ -21,6 +25,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from adaptive_nmpc import AdaptConfig, ControllerConfig, controller, harness, preset
 from adaptive_nmpc.dynamics import QUADROTOR
@@ -54,6 +59,14 @@ def test_noise_sweep_setup_runs():
     proc = run(str(PERFBENCH / "run.py"), "--workload", "noise-sweep", "--setup-only")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert float(proc.stdout.split()[-1]) > 0.0
+
+
+@pytest.mark.slow
+def test_noise_sweep_round_is_correct():
+    # one round of the Table 3 grid, about 25 s on two CPUs
+    proc = run(str(PERFBENCH / "run.py"), "--workload", "noise-sweep", "--seconds", "0")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert '"correct": true' in proc.stdout
 
 
 def test_step_matches_replay_oracle():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adaptive_nmpc import controller, harness
-from adaptive_nmpc.adaptation import AdaptConfig
+from adaptive_nmpc.adaptation import EXP_CLAMP, AdaptConfig
 from adaptive_nmpc.controller import (
     ControllerConfig,
     ControllerState,
@@ -106,7 +106,7 @@ class TestTick:
         expected_q = np.maximum(update_weights(v, cfg.adapt), 0.0)
         np.testing.assert_allclose(diag.weights_q, expected_q, atol=1e-12)
         # closed form written out: q = exp(min(sum v / (2 lam), clamp))
-        manual = np.exp(np.minimum(v / 2.0, cfg.adapt.exp_clamp))
+        manual = np.exp(np.minimum(v / 2.0, EXP_CLAMP))
         np.testing.assert_allclose(diag.weights_q, manual, atol=1e-12)
 
     def test_linear_weights_clipped_at_zero(self, monkeypatch):

@@ -50,7 +50,7 @@ class TestClosedLoop:
 
     def test_offset_start_converges_monotonically(self):
         traj = preset("circle")
-        x0 = State.from_vector(traj.xs[0] + np.concatenate([[1.0, 0, 0], np.zeros(7)]))
+        x0 = traj.xs[0] + np.concatenate([[1.0, 0, 0], np.zeros(7)])
         log = run_closed_loop(traj, ControllerConfig(), seed=0, x0=x0)
         d = log.position_error
         assert d[0] == pytest.approx(1.0)
@@ -265,6 +265,21 @@ class TestGrid:
         for ra, rb in zip(a, b):
             assert ra.report.e == rb.report.e
             assert ra.report.tv == rb.report.tv
+
+    def test_default_workers_count_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("ADAPTIVE_NMPC_THREADS", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert grid_workers() == 1  # pinned to one of eight CPUs
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {1, 3, 5})
+        assert grid_workers() == 3
+        monkeypatch.setenv("ADAPTIVE_NMPC_THREADS", "2")
+        assert grid_workers() == 2
+        monkeypatch.delenv("ADAPTIVE_NMPC_THREADS")
+        monkeypatch.delattr(harness.os, "sched_getaffinity")  # a platform without affinity masks
+        assert grid_workers() == 8
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert grid_workers() == 1
 
     def test_thread_env_caps_workers(self, monkeypatch):
         monkeypatch.setenv("ADAPTIVE_NMPC_THREADS", "1")

@@ -11,7 +11,7 @@ from adaptive_nmpc.trajectories import (
     gen_diamond,
     preset,
 )
-from helpers import in_box
+from helpers import hamilton_product, in_box
 
 DT = 0.05
 
@@ -23,7 +23,7 @@ class TestCircle:
         np.testing.assert_allclose(tr.xs[0, 3:6], [0.0, 2 * np.pi * 2.0 / 6.0, 0.0], atol=1e-12)
 
     def test_periodicity(self):
-        tr = gen_circle(radius=2.0, period=6.0, altitude=1.5, dt=DT, laps=1)
+        tr = gen_circle(radius=2.0, period=6.0, altitude=1.5, dt=DT)
         np.testing.assert_allclose(tr.xs[-1, 0:3], tr.xs[0, 0:3], atol=1e-9)
 
     def test_constant_speed(self):
@@ -129,6 +129,19 @@ class TestDeriveReferenceControls:
             derive_reference_controls(np.zeros((4, 3)), np.zeros((4, 3)), acc, DT)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("dt", [0.02, 0.05, 0.1])
+    def test_body_rates_are_the_hamilton_product_bit_for_bit(self, name, dt):
+        # w = 2 vec(conj(q) (x) dq/dt) from the returned attitudes, differenced as the generator does
+        tr = preset(name, dt=dt)
+        q = tr.xs[:, 6:10]
+        dq = np.empty_like(q)
+        dq[1:-1] = (q[2:] - q[:-2]) / (2.0 * dt)
+        dq[0] = (q[1] - q[0]) / dt
+        dq[-1] = (q[-1] - q[-2]) / dt
+        omega = 2.0 * hamilton_product(q * [1.0, -1.0, -1.0, -1.0], dq)[:, 1:]
+        assert omega.tobytes() == tr.us[:, 1:].tobytes()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_forward_simulation_consistency(self, name):
         tr = preset(name, dt=DT)
         worst = 0.0
@@ -182,3 +195,9 @@ class TestWindowAndCsv:
         tr = ReferenceTrajectory(np.arange(3) * DT, xs, np.zeros((3, 4)), DT)
         with pytest.raises(ValueError):
             tr.validate()
+        # the limit is 20 m/s: a step just under it passes, one at it does not
+        xs[2, 0] = 19.9 * DT
+        ReferenceTrajectory(np.arange(3) * DT, xs, np.zeros((3, 4)), DT).validate()
+        xs[2, 0] = 20.0 * DT
+        with pytest.raises(ValueError, match="reaches 20 m/s"):
+            ReferenceTrajectory(np.arange(3) * DT, xs, np.zeros((3, 4)), DT).validate()

@@ -112,10 +112,11 @@ class TestBuildQp:
 
     def test_short_window_rejected(self):
         N = 5
-        win = hover_window(N)  # one point short
         pred = PredictionTrajectory(hover_window(N + 1).xs, hover_window(N + 1).us[:N])
-        with pytest.raises(ValueError):
-            build_qp(pred, win, default_weights(), win.xs[0], WIDE, 1.0, DT)
+        # one point short, and a single point, which would otherwise broadcast against every stage
+        for win in (hover_window(N), hover_window(1)):
+            with pytest.raises(ValueError, match="too short for horizon 5"):
+                build_qp(pred, win, default_weights(), win.xs[0], WIDE, 1.0, DT)
 
     def test_weights_apply_to_every_stage(self):
         N = 3
