@@ -1,21 +1,22 @@
 """Receding-horizon controller: alternating prediction and weight update.
 
-Each tick repeats up to ``alternations`` rounds of
+Each tick runs
 
-  Stage 1: linearize the prediction, solve the stage-wise QP, take the
-           (partial) Newton step;
-  Stage 2: (adaptive mode only, final round only) accumulate the error
-           products over the sub-horizon and refresh the diagonal state
-           weights, clipped at zero,
+  Stage 1: up to ``alternations`` rounds of: linearize the prediction,
+           solve the stage-wise QP, take the (partial) Newton step;
+           stopping early once the step norm drops below ``conv_tol``;
+  Stage 2: (adaptive mode only) accumulate the error products of the
+           final round over the sub-horizon and refresh the diagonal state
+           weights once, clipped at zero.
 
-stopping early once the step norm drops below ``conv_tol``. The command is
-the first predicted control, clamped to the limits. The prediction is then
-shifted one stage for the next tick (drop the first stage, append the last
-state integrated one step forward). Each round's QP starts its active-set
-loop from the working set the previous round ended with; the set is kept
-between ticks and shifted the same way as the controls. On a QP failure
-the controller holds the previous command and rebuilds the prediction from
-the reference window on the next tick, with every control free again.
+The command is the first predicted control, clamped to the limits. The
+prediction is then shifted one stage for the next tick (drop the first
+stage, append the last state integrated one step forward). Each round's QP
+starts its active-set loop from the working set the previous round ended
+with; the set is kept between ticks and shifted the same way as the
+controls. A tick without a prediction builds one from its own reference
+window, with every control free: the first tick does so, and so does the
+tick after a QP failure, on which the controller holds the previous command.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .dynamics import QUADROTOR, ControlLimits, QuadrotorModel
 from .trajectories import ReferenceWindow
 from .transcription import (
     PredictionTrajectory,
+    QpSolution,
     QpSolveError,
     WeightVector,
     apply_step,
@@ -87,16 +89,8 @@ class ControllerState:
 
 
 @dataclass
-class RoundInfo:
-    kkt_residual: float
-    step_norm: float
-    sweeps: int
-
-
-@dataclass
 class TickDiagnostics:
-    rounds: list[RoundInfo] = field(default_factory=list)
-    weights_q: np.ndarray | None = None
+    rounds: list[QpSolution] = field(default_factory=list)
     failed: bool = False
     message: str = ""
 
@@ -106,15 +100,9 @@ class TickDiagnostics:
         return float("nan") if self.failed or not self.rounds else self.rounds[-1].kkt_residual
 
 
-def _pred_from_window(window: ReferenceWindow, horizon: int) -> PredictionTrajectory:
-    return PredictionTrajectory(window.xs[: horizon + 1].copy(), window.us[:horizon].copy())
-
-
-def init_controller(cfg: ControllerConfig, refs: ReferenceWindow) -> ControllerState:
-    """Warm-start the prediction from the first reference window."""
-    if len(refs) < cfg.horizon + 1:
-        raise ValueError(f"window of length {len(refs)} too short for horizon {cfg.horizon}")
-    return ControllerState(pred=_pred_from_window(refs, cfg.horizon), weights=cfg.fixed_weights)
+def init_controller(cfg: ControllerConfig) -> ControllerState:
+    """No prediction yet: the first tick builds it from its reference window."""
+    return ControllerState(pred=None, weights=cfg.fixed_weights)
 
 
 def _shift(pred: PredictionTrajectory, dt: float, model: QuadrotorModel) -> PredictionTrajectory:
@@ -137,7 +125,9 @@ def nmpc_tick(
     """One control tick; returns the clamped ``(4,)`` command, the next state, and diagnostics."""
     if len(refs) < cfg.horizon + 1:
         raise ValueError(f"window of length {len(refs)} too short for horizon {cfg.horizon}")
-    pred = state.pred if state.pred is not None else _pred_from_window(refs, cfg.horizon)
+    pred = state.pred
+    if pred is None:
+        pred = PredictionTrajectory(refs.xs[: cfg.horizon + 1].copy(), refs.us[: cfg.horizon].copy())
     weights = state.weights
     active = state.active
     diag = TickDiagnostics()
@@ -148,35 +138,30 @@ def nmpc_tick(
             sol = solve_qp(prob, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter, active=active)
             active = sol.active
             pred = apply_step(pred, sol, cfg.alpha, cfg.limits, cfg.model)
-            diag.rounds.append(RoundInfo(sol.kkt_residual, sol.step_norm, sol.sweeps))
-
-            last_round = len(diag.rounds) == cfg.alternations or sol.step_norm < cfg.conv_tol
-            # run the weight update once per tick, after the final round: the command
-            # is then never computed from weights refreshed by a corrupted measurement
-            if cfg.adapt is not None and last_round:
-                # error products from the post-step prediction residual against the
-                # reference, with the pre-step error as the gradient anchor
-                ns = cfg.adapt.sub_horizon
-                resid = pred.xs[:ns] - refs.xs[:ns]
-                v_sum = compute_v(resid, prob.lx[:ns], cfg.alpha).sum(axis=0)
-                q_new = np.maximum(update_weights(v_sum, cfg.adapt), 0.0)
-                weights = WeightVector(q_new, weights.r)
-
+            diag.rounds.append(sol)
             if sol.step_norm < cfg.conv_tol:
                 break
     except QpSolveError as err:
         diag.failed = True
         diag.message = str(err)
-        diag.weights_q = np.array(weights.q)
         held = np.array(state.last_command if state.last_command is not None else refs.us[0], dtype=float)
         command = cfg.limits.clamp(held) if cfg.limits is not None else held
         # prediction is stale after a failed solve: rebuild from refs next tick
-        next_state = ControllerState(pred=None, weights=weights, last_command=command)
+        next_state = ControllerState(pred=None, weights=state.weights, last_command=command)
         return command, next_state, diag
+
+    # the weights are updated after the final round only: the command is then
+    # never computed from weights refreshed by a corrupted measurement
+    if cfg.adapt is not None:
+        # error products from the post-step prediction residual against the
+        # reference, with the pre-step error as the gradient anchor
+        ns = cfg.adapt.sub_horizon
+        resid = pred.xs[:ns] - refs.xs[:ns]
+        v_sum = compute_v(resid, prob.lx[:ns], cfg.alpha).sum(axis=0)
+        weights = WeightVector(np.maximum(update_weights(v_sum, cfg.adapt), 0.0), weights.r)
 
     # apply_step has already clamped the prediction's controls to the box
     command = pred.us[0].copy()
-    diag.weights_q = np.array(weights.q)
     next_state = ControllerState(
         pred=_shift(pred, cfg.dt, cfg.model),
         weights=weights,

@@ -108,6 +108,8 @@ def run_closed_loop(
 
     ``x0`` is the ``(10,)`` start state; None starts on the reference's first point.
     """
+    if abs(traj.dt - cfg.dt) > 1e-9:
+        raise ValueError(f"trajectory sample time {traj.dt!r} differs from the controller dt {cfg.dt!r}")
     L = len(traj)
     model = cfg.model
     tick = baseline_tick if cfg.adapt is None else nmpc_tick
@@ -119,7 +121,7 @@ def run_closed_loop(
         sigma = noise.sigma
         tau = int(rng.integers(0, L))
 
-    state = init_controller(cfg, traj.window(0, cfg.horizon + 1))
+    state = init_controller(cfg)
     x_true = np.array(traj.xs[0] if x0 is None else x0, dtype=float)
 
     log = SimLog(
@@ -142,7 +144,7 @@ def run_closed_loop(
         log.x_true[i] = x_true
         log.x_meas[i] = x_meas
         log.u_applied[i] = u
-        log.q_snapshot[i] = diag.weights_q
+        log.q_snapshot[i] = state.weights.q
         log.kkt[i] = diag.kkt_residual
         if diag.failed:
             log.failures += 1

@@ -78,9 +78,11 @@ class ReferenceTrajectory:
         return ReferenceWindow(self.xs[idx], self.us[idx])
 
     def validate(self) -> None:
-        """Reject non-finite values, uneven sampling, non-unit quaternions and jumps of 20 m/s or more."""
+        """Reject a non-positive dt, non-finite values, uneven sampling, non-unit quaternions and jumps of 20 m/s or more."""
         if len(self) < 2:
             raise ValueError("trajectory needs at least 2 points")
+        if not self.dt > 0.0:
+            raise ValueError(f"sample time dt must be positive (t must increase), got {self.dt!r}")
         if not np.all(np.isfinite(self.xs)) or not np.all(np.isfinite(self.us)):
             raise ValueError("trajectory contains non-finite values")
         gaps = np.diff(self.ts)

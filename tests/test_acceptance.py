@@ -157,7 +157,7 @@ def test_criterion_baseline_lti_tracking():
         horizon=horizon, dt=0.1, alternations=60, conv_tol=1e-13,
         fixed_weights=WeightVector(q, r), limits=None, model=model,
     )
-    cmd, _, _ = baseline_tick(init_controller(cfg, win), x0, win, cfg)
+    cmd, _, _ = baseline_tick(init_controller(cfg), x0, win, cfg)
     err = float(np.abs(cmd - u0_oracle).max())
     report("baseline converges to Riccati tracking oracle on LTI toy", err < 1e-6, f"err {err:.2e}")
 

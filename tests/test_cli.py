@@ -208,6 +208,14 @@ class TestSimulate:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x" / "log.csv").exists()
 
+    def test_file_trajectory_dt_must_match(self, tmp_path, capsys):
+        traj_path = tmp_path / "c02.csv"
+        preset("circle", dt=0.02).to_csv(traj_path)
+        rc = main(["simulate", "--trajectory", f"file:{traj_path}", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "error: trajectory sample time 0.02 differs from the controller dt 0.05" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "log.csv").exists()
+
     def test_fixed_mode_checks_adaptive_inputs(self, tmp_path, capsys):
         rc = main(["simulate", "--mode", "fixed", "--lambda", "-1", "--out", str(tmp_path / "x")])
         assert rc == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adaptive_nmpc import controller, harness
-from adaptive_nmpc.adaptation import EXP_CLAMP, AdaptConfig
+from adaptive_nmpc.adaptation import EXP_CLAMP, AdaptConfig, update_weights
 from adaptive_nmpc.controller import (
     ControllerConfig,
     ControllerState,
@@ -17,7 +17,7 @@ from adaptive_nmpc.controller import (
 )
 from adaptive_nmpc.dynamics import GRAVITY, ControlLimits
 from adaptive_nmpc.trajectories import ReferenceWindow, preset
-from adaptive_nmpc.transcription import WeightVector, build_qp, solve_qp
+from adaptive_nmpc.transcription import PredictionTrajectory, WeightVector, build_qp, solve_qp
 from helpers import SATURATED_BOX, LinearModel, dense_equality_qp, hover_control, hover_state, in_box
 
 N = 10
@@ -29,85 +29,111 @@ def hover_window(n, position=(1.0, -0.5, 2.0)):
     return ReferenceWindow(np.tile(x, (n, 1)), np.tile(u, (n, 1)))
 
 
-class TestInit:
-    def test_prediction_matches_window(self):
+def record_builds(monkeypatch):
+    """Record (prediction, problem) of every QP the controller builds."""
+    calls = []
+
+    def build(pred, *args, **kwargs):
+        prob = build_qp(pred, *args, **kwargs)
+        calls.append((PredictionTrajectory(pred.xs.copy(), pred.us.copy()), prob))
+        return prob
+
+    monkeypatch.setattr(controller, "build_qp", build)
+    return calls
+
+
+class TestFirstTick:
+    """``init_controller`` holds no prediction: the first tick builds it from its window."""
+
+    def test_prediction_matches_window(self, monkeypatch):
+        calls = record_builds(monkeypatch)
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N)
-        st = init_controller(cfg, win)
-        np.testing.assert_array_equal(st.pred.xs, win.xs[: N + 1])
-        np.testing.assert_array_equal(st.pred.us, win.us[:N])
+        nmpc_tick(init_controller(cfg), win.xs[0], win, cfg)
+        pred, _ = calls[0]
+        np.testing.assert_array_equal(pred.xs, win.xs[: N + 1])
+        np.testing.assert_array_equal(pred.us, win.us[:N])
 
-    def test_consistent_init_gives_zero_qp_data(self):
+    def test_consistent_window_gives_zero_qp_data(self, monkeypatch):
+        calls = record_builds(monkeypatch)
         win = hover_window(N + 1)
         cfg = ControllerConfig(horizon=N)
-        st = init_controller(cfg, win)
-        prob = build_qp(st.pred, win, st.weights, win.xs[0], cfg.limits, cfg.alpha, cfg.dt)
+        nmpc_tick(init_controller(cfg), win.xs[0], win, cfg)
+        _, prob = calls[0]
         assert np.abs(prob.lx).max() == 0.0
         assert np.abs(prob.initial_gap).max() == 0.0
         assert np.abs(prob.defects).max() < 1e-12
 
     def test_preserves_fixed_weights_exactly(self):
-        win = hover_window(N + 1)
         w = WeightVector(np.arange(1.0, 11.0), np.array([1.0, 2.0, 3.0, 4.0]))
-        st = init_controller(ControllerConfig(horizon=N, fixed_weights=w), win)
+        st = init_controller(ControllerConfig(horizon=N, fixed_weights=w))
+        assert st.pred is None
         np.testing.assert_array_equal(st.weights.q, w.q)
         np.testing.assert_array_equal(st.weights.r, w.r)
 
-    def test_preset_init_controls_within_limits(self):
+    def test_preset_first_prediction_controls_within_limits(self, monkeypatch):
+        calls = record_builds(monkeypatch)
         cfg = ControllerConfig()
         for name in ("agg1", "agg2", "circle", "diamond"):
             traj = preset(name, dt=cfg.dt)
-            st = init_controller(cfg, traj.window(0, cfg.horizon + 1))
-            assert in_box(cfg.limits, st.pred.us)
+            win = traj.window(0, cfg.horizon + 1)
+            nmpc_tick(init_controller(cfg), traj.xs[0], win, cfg)
+            pred, _ = calls[0]
+            calls.clear()
+            assert in_box(cfg.limits, pred.us)
 
     def test_short_window_rejected(self):
-        with pytest.raises(ValueError):
-            init_controller(ControllerConfig(horizon=N), hover_window(N))
+        cfg = ControllerConfig(horizon=N)
+        win = hover_window(N)
+        with pytest.raises(ValueError, match="too short for horizon"):
+            nmpc_tick(init_controller(cfg), win.xs[0], win, cfg)
 
 
 class TestTick:
     def test_perfect_hover_returns_reference_control(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
-        st = init_controller(cfg, win)
+        st = init_controller(cfg)
         cmd, st2, diag = nmpc_tick(st, win.xs[0], win, cfg)
         assert abs(cmd[0] - GRAVITY) < 1e-6
         np.testing.assert_allclose(cmd[1:], 0.0, atol=1e-6)
-        np.testing.assert_allclose(diag.weights_q, 1.0, atol=1e-12)
+        np.testing.assert_allclose(st2.weights.q, 1.0, atol=1e-12)
 
     def test_disabled_adaptation_equals_baseline(self):
         win = hover_window(N + 2)
         x_meas = win.xs[0].copy()
         x_meas[1] -= 0.2
         cfg_none = ControllerConfig(horizon=N, adapt=None)
-        cmd_a, _, _ = nmpc_tick(init_controller(cfg_none, win), x_meas, win, cfg_none)
+        cmd_a, _, _ = nmpc_tick(init_controller(cfg_none), x_meas, win, cfg_none)
         cfg_b = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
-        cmd_b, _, _ = baseline_tick(init_controller(cfg_b, win), x_meas, win, cfg_b)
+        cmd_b, _, _ = baseline_tick(init_controller(cfg_b), x_meas, win, cfg_b)
         np.testing.assert_array_equal(cmd_a, cmd_b)
 
     def test_offset_boosts_matching_weight_dimension(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=1)
-        st = init_controller(cfg, win)
+        st = init_controller(cfg)
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1
         cmd, st2, diag = nmpc_tick(st, x_meas, win, cfg)
-        assert diag.weights_q[0] > diag.weights_q[1]
-        assert diag.weights_q[0] > diag.weights_q[2]
-        # magnitude against the closed form: q = exp(sum_k v_k / (2 lam))
-        prob = build_qp(st.pred, win, st.weights, x_meas, cfg.limits, cfg.alpha, cfg.dt)
+        assert st2.weights.q[0] > st2.weights.q[1]
+        assert st2.weights.q[0] > st2.weights.q[2]
+        # magnitude against the closed form: q = exp(sum_k v_k / (2 lam)),
+        # from the prediction the first tick builds out of its window
+        pred = PredictionTrajectory(win.xs[: N + 1], win.us[:N])
+        prob = build_qp(pred, win, st.weights, x_meas, cfg.limits, cfg.alpha, cfg.dt)
         from adaptive_nmpc.transcription import apply_step, solve_qp
-        from adaptive_nmpc.adaptation import compute_v, update_weights
+        from adaptive_nmpc.adaptation import compute_v
 
         sol = solve_qp(prob)
-        stepped = apply_step(st.pred, sol, cfg.alpha, cfg.limits)
+        stepped = apply_step(pred, sol, cfg.alpha, cfg.limits)
         resid = stepped.xs[:5] - win.xs[:5]
         v = compute_v(resid, prob.lx[:5], cfg.alpha).sum(axis=0)
         expected_q = np.maximum(update_weights(v, cfg.adapt), 0.0)
-        np.testing.assert_allclose(diag.weights_q, expected_q, atol=1e-12)
+        np.testing.assert_allclose(st2.weights.q, expected_q, atol=1e-12)
         # closed form written out: q = exp(min(sum v / (2 lam), clamp))
         manual = np.exp(np.minimum(v / 2.0, EXP_CLAMP))
-        np.testing.assert_allclose(diag.weights_q, manual, atol=1e-12)
+        np.testing.assert_allclose(st2.weights.q, manual, atol=1e-12)
 
     def test_linear_weights_clipped_at_zero(self, monkeypatch):
         # the controller projects the plain linear minimizer v_sum / (2 lam + gamma) onto q >= 0
@@ -120,9 +146,8 @@ class TestTick:
         cfg = ControllerConfig(horizon=N, adapt=adapt)
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1
-        _, st2, diag = nmpc_tick(init_controller(cfg, win), x_meas, win, cfg)
+        _, st2, diag = nmpc_tick(init_controller(cfg), x_meas, win, cfg)
         expected = np.array([max(v / 1.5, 0.0) for v in v_sum])
-        np.testing.assert_array_equal(diag.weights_q, expected)
         np.testing.assert_array_equal(st2.weights.q, expected)
         assert not diag.failed
 
@@ -133,9 +158,9 @@ class TestTick:
         x_meas[2] += 0.3
         outs = []
         for _ in range(2):
-            st = init_controller(cfg, win)
+            st = init_controller(cfg)
             cmd, st2, diag = nmpc_tick(st, x_meas, win, cfg)
-            outs.append((cmd, st2.pred.xs.copy(), diag.weights_q.copy()))
+            outs.append((cmd, st2.pred.xs.copy(), st2.weights.q))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
         np.testing.assert_array_equal(outs[0][2], outs[1][2])
@@ -144,7 +169,7 @@ class TestTick:
         win = hover_window(N + 2)
         lim = ControlLimits(c_min=1.0, c_max=15.0, omega_min=-2.0, omega_max=2.0)
         cfg = ControllerConfig(horizon=N, limits=lim, adapt=AdaptConfig(lam=0.1, sub_horizon=5))
-        st = init_controller(cfg, win)
+        st = init_controller(cfg)
         x_meas = win.xs[0].copy()
         x_meas[0:3] += [5.0, -4.0, 3.0]
         cmd, _, _ = nmpc_tick(st, x_meas, win, cfg)
@@ -153,23 +178,68 @@ class TestTick:
     def test_baseline_weights_bit_identical(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N)
-        st = init_controller(cfg, win)
+        st = init_controller(cfg)
         q_before = st.weights.q  # a tuple: ticks replace weights, never write into them
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.5
         for _ in range(3):
             cmd, st, diag = baseline_tick(st, x_meas, win, cfg)
         np.testing.assert_array_equal(st.weights.q, q_before)
-        np.testing.assert_array_equal(diag.weights_q, q_before)
 
     def test_warm_start_shift(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N)
-        st = init_controller(cfg, win)
+        st = init_controller(cfg)
         cmd, st2, _ = baseline_tick(st, win.xs[0], win, cfg)
         # hover is a fixed point: shifted prediction equals the hover window
         np.testing.assert_allclose(st2.pred.xs, win.xs[: N + 1], atol=1e-9)
         np.testing.assert_allclose(st2.pred.us, win.us[:N], atol=1e-9)
+
+
+class TestWeightUpdate:
+    """The adaptive update runs once per tick, after the final round, and never on a fixed-weight tick."""
+
+    @staticmethod
+    def count_updates(monkeypatch):
+        calls = []
+
+        def update(v_sum, adapt):
+            calls.append(v_sum)
+            return update_weights(v_sum, adapt)
+
+        monkeypatch.setattr(controller, "update_weights", update)
+        return calls
+
+    def test_once_when_rounds_stop_on_conv_tol(self, monkeypatch):
+        calls = self.count_updates(monkeypatch)
+        win = hover_window(N + 2)
+        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=3)
+        _, _, diag = nmpc_tick(init_controller(cfg), win.xs[0], win, cfg)
+        assert len(diag.rounds) == 1  # hover is a fixed point: the first step is below conv_tol
+        assert len(calls) == 1
+
+    def test_once_after_all_rounds(self, monkeypatch):
+        calls = self.count_updates(monkeypatch)
+        win = hover_window(N + 2)
+        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=3, conv_tol=0.0)
+        x_meas = win.xs[0].copy()
+        x_meas[0] += 0.1
+        st = init_controller(cfg)
+        for _ in range(2):
+            _, st, diag = nmpc_tick(st, x_meas, win, cfg)
+            assert len(diag.rounds) == cfg.alternations
+        assert len(calls) == 2
+
+    def test_never_on_a_fixed_weight_tick(self, monkeypatch):
+        calls = self.count_updates(monkeypatch)
+        win = hover_window(N + 2)
+        x_meas = win.xs[0].copy()
+        x_meas[0] += 0.1
+        adaptive = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
+        fixed = ControllerConfig(horizon=N)
+        baseline_tick(init_controller(adaptive), x_meas, win, adaptive)
+        nmpc_tick(init_controller(fixed), x_meas, win, fixed)
+        assert calls == []
 
 
 def record_solves(monkeypatch):
@@ -205,14 +275,15 @@ class TestWarmStart:
         calls = record_solves(monkeypatch)
         cfg = ControllerConfig(limits=SATURATED_BOX)
         traj = preset("agg1", dt=cfg.dt)
-        st = init_controller(cfg, traj.window(0, cfg.horizon + 1))
+        st = init_controller(cfg)
         x = traj.xs[0]
         for i in range(5):
             cmd, st, diag = nmpc_tick(st, x, traj.window(i, cfg.horizon + 1), cfg)
             x = cfg.model.step(x, cmd, cfg.dt)
             last = calls[-1][2].active
             np.testing.assert_array_equal(st.active, np.vstack([last[1:], last[-1:]]))
-            assert [r.sweeps for r in diag.rounds] == [sol.sweeps for _, _, sol in calls[-len(diag.rounds):]]
+            # the tick's rounds are the solutions of its QPs, in order
+            assert all(r is sol for r, (_, _, sol) in zip(diag.rounds, calls[-len(diag.rounds):], strict=True))
         assert calls[0][1] is None
         for (_, _, prev), (_, start, _) in zip(calls, calls[1:]):
             assert start is prev.active or np.array_equal(start, np.vstack([prev.active[1:], prev.active[-1:]]))
@@ -247,7 +318,7 @@ class TestFailurePolicy:
     def test_qp_failure_holds_previous_command(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, model=self.BrokenModel())
-        st = init_controller(cfg, win)
+        st = init_controller(cfg)
         st.last_command = np.array([12.0, 0.1, 0.2, 0.3])
         cmd, st2, diag = nmpc_tick(st, win.xs[0], win, cfg)
         assert diag.failed
@@ -258,7 +329,7 @@ class TestFailurePolicy:
     def test_qp_failure_without_history_falls_back_to_reference(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, model=self.BrokenModel())
-        st = init_controller(cfg, win)
+        st = init_controller(cfg)
         cmd, _, diag = nmpc_tick(st, win.xs[0], win, cfg)
         assert diag.failed
         np.testing.assert_array_equal(cmd, win.us[0])
@@ -267,7 +338,7 @@ class TestFailurePolicy:
     def test_non_finite_measurement_holds_clamped_command(self, bad):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
-        st = init_controller(cfg, win)
+        st = init_controller(cfg)
         st.last_command = np.array([30.0, 0.1, -0.2, 6.0])  # outside the default box
         x_meas = win.xs[0].copy()
         x_meas[0] = bad
@@ -277,7 +348,7 @@ class TestFailurePolicy:
         np.testing.assert_array_equal(cmd, cfg.limits.clamp(st.last_command))
         np.testing.assert_array_equal(cmd, [25.0, 0.1, -0.2, 5.0])
         assert np.all(np.isfinite(cmd))
-        assert np.all(np.isfinite(diag.weights_q))
+        assert np.all(np.isfinite(st2.weights.q))
         assert st2.pred is None
 
     def test_first_tick_failure_holds_clamped_reference(self):
@@ -286,7 +357,7 @@ class TestFailurePolicy:
         traj = preset("agg1")
         cfg = ControllerConfig(qp_max_iter=1, limits=SATURATED_BOX)
         refs = traj.window(0, cfg.horizon + 1)
-        cmd, st2, diag = nmpc_tick(init_controller(cfg, refs), traj.xs[0], refs, cfg)
+        cmd, st2, diag = nmpc_tick(init_controller(cfg), traj.xs[0], refs, cfg)
         assert diag.failed
         np.testing.assert_array_equal(cmd, SATURATED_BOX.clamp(refs.us[0]))
         assert np.isnan(diag.kkt_residual)  # the held command has no certificate
@@ -339,7 +410,7 @@ class TestLtiTracking:
             limits=None,
             model=model,
         )
-        st = init_controller(cfg, win)
+        st = init_controller(cfg)
         cmd, _, _ = baseline_tick(st, x0, win, cfg)
         assert np.abs(cmd - u0_oracle).max() < 1e-6
 

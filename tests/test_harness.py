@@ -21,7 +21,7 @@ from adaptive_nmpc.harness import (
     run_closed_loop,
     run_experiment_grid,
 )
-from adaptive_nmpc.trajectories import preset
+from adaptive_nmpc.trajectories import ReferenceTrajectory, preset
 from helpers import SATURATED_BOX, hover_state
 
 
@@ -71,6 +71,19 @@ class TestClosedLoop:
         assert len(commands) == len(log)
         assert all(c.shape == (4,) and c.dtype == np.float64 for c in commands)
         np.testing.assert_array_equal(log.u_applied, np.array(commands))
+
+    def test_trajectory_dt_must_match_controller_dt(self):
+        with pytest.raises(ValueError, match=r"^trajectory sample time 0\.02 differs from the controller dt 0\.05$"):
+            run_closed_loop(preset("circle", dt=0.02), ControllerConfig())
+
+    def test_dt_from_shifted_sample_times_accepted(self):
+        # a file whose t starts at 1.0 reads dt = t[1] - t[0] = 0.050000000000000044
+        tr = preset("circle")
+        ts = tr.ts[:30] + 1.0
+        shifted = ReferenceTrajectory(ts, tr.xs[:30], tr.us[:30], ts[1] - ts[0])
+        assert shifted.dt != 0.05
+        log = run_closed_loop(shifted, ControllerConfig(horizon=8))
+        assert len(log) == 30 and log.failures == 0
 
     def test_sigma_zero_noise_equals_no_noise(self):
         traj = preset("diamond")

@@ -201,3 +201,11 @@ class TestWindowAndCsv:
         xs[2, 0] = 20.0 * DT
         with pytest.raises(ValueError, match="reaches 20 m/s"):
             ReferenceTrajectory(np.arange(3) * DT, xs, np.zeros((3, 4)), DT).validate()
+
+    @pytest.mark.parametrize("step, shown", [(-DT, "-0.05"), (0.0, "0.0")], ids=["descending", "constant"])
+    def test_csv_rejects_non_increasing_times(self, tmp_path, step, shown):
+        tr = preset("circle", dt=DT)
+        path = tmp_path / "t.csv"
+        ReferenceTrajectory(step * np.arange(len(tr)), tr.xs, tr.us, DT).to_csv(path)
+        with pytest.raises(ValueError, match=rf"^sample time dt must be positive \(t must increase\), got {shown}$"):
+            ReferenceTrajectory.from_csv(path)

@@ -1,0 +1,40 @@
+#!/bin/sh
+# Write the CLI proof set of the checkout this script sits in to OUT:
+#   simulate: agg1 fixed, agg1 adaptive exp, diamond adaptive linear
+#             (lambda 0.01), agg2 with noise sigma 2 and seed 3, and a
+#             circle read back from a CSV file written by to_csv;
+#   table:    tables 1, 2 and 3, two runs per cell.
+# Every path the commands see is relative to OUT, so two checkouts' outputs
+# compare byte for byte with `diff -r OUT_A OUT_B`. Each command's exit code
+# goes to OUT/exit_codes.txt; a failing command does not stop the rest.
+#
+# Usage: tools/artifacts.sh OUT
+set -eu
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT" >&2
+    exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+cd "$1"
+export PYTHONPATH="$root/src"
+: > exit_codes.txt
+
+run() {
+    name=$1
+    shift
+    rc=0
+    python3 -c 'import sys; from adaptive_nmpc.cli import main; sys.exit(main(sys.argv[1:]))' "$@" > "$name.stdout" || rc=$?
+    echo "$name $rc" >> exit_codes.txt
+}
+
+python3 -c 'from adaptive_nmpc import preset; preset("circle").to_csv("circle.csv")'
+
+run agg1_fixed simulate --trajectory agg1 --mode fixed --out agg1_fixed
+run agg1_exp simulate --trajectory agg1 --mode adaptive --variant exp --out agg1_exp
+run diamond_linear simulate --trajectory diamond --mode adaptive --variant linear --lambda 0.01 --out diamond_linear
+run agg2_noise simulate --trajectory agg2 --noise-sigma 2 --seed 3 --out agg2_noise
+run circle_file simulate --trajectory file:circle.csv --out circle_file
+for k in 1 2 3; do
+    run "table$k" table --table "$k" --runs 2 --out "table$k"
+done
