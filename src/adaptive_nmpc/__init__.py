@@ -2,7 +2,7 @@
 
 A receding-horizon controller that alternates structured-QP prediction
 steps with a closed-form refresh of the diagonal state weights, a full
-quadrotor simulator, reference trajectory generators, and a benchmark
+quadrotor simulator, the benchmark's reference trajectories, and a benchmark
 harness with a command-line front end.
 """
 
@@ -51,9 +51,6 @@ from .trajectories import (
     ReferenceTrajectory,
     ReferenceWindow,
     derive_reference_controls,
-    gen_aggressive,
-    gen_circle,
-    gen_diamond,
     preset,
 )
 from .transcription import (

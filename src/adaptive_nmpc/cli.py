@@ -356,6 +356,9 @@ def table_grid(table: int, cfg: RunConfig) -> GridSpec:
 def cmd_table(args: argparse.Namespace) -> int:
     spec = TABLES[args.table]
     cfg = resolve_config(args, RunConfig(runs=spec.runs), spec.unread)
+    if spec.sub_horizons is None and cfg.sub_horizon > cfg.horizon:
+        # a table on the config's own sub-horizon would skip every adaptive cell
+        raise ValueError(f"sub-horizon {cfg.sub_horizon} exceeds horizon {cfg.horizon}: no adaptive cell can run")
     base = cfg.controller_config()
     grid = table_grid(args.table, cfg)
     out = Path(cfg.out)

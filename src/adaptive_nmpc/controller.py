@@ -4,7 +4,7 @@ Each tick runs
 
   Stage 1: up to ``alternations`` rounds of: linearize the prediction,
            solve the stage-wise QP, take the (partial) Newton step;
-           stopping early once the step norm drops below ``conv_tol``;
+           stopping early once the step norm drops below ``CONV_TOL``;
   Stage 2: (adaptive mode only) accumulate the error products of the
            final round over the sub-horizon and refresh the diagonal state
            weights once, clipped at zero.
@@ -38,6 +38,9 @@ from .transcription import (
     solve_qp,
 )
 
+#: Step norm below which a tick stops its alternation rounds early.
+CONV_TOL = 1e-4
+
 
 def benchmark_weights() -> WeightVector:
     """Generic conservative tuning used as the fixed-weight default.
@@ -58,9 +61,7 @@ class ControllerConfig:
     fixed_weights: WeightVector = benchmark_weights()
     limits: ControlLimits | None = ControlLimits()
     alternations: int = 2
-    conv_tol: float = 1e-4
     qp_tol: float = 1e-6
-    qp_max_iter: int = 200
     model: QuadrotorModel = QUADROTOR
 
     def __post_init__(self):
@@ -135,11 +136,11 @@ def nmpc_tick(
     try:
         for _ in range(cfg.alternations):
             prob = build_qp(pred, refs, weights, x_meas, cfg.limits, cfg.alpha, cfg.dt, cfg.model)
-            sol = solve_qp(prob, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter, active=active)
+            sol = solve_qp(prob, tol=cfg.qp_tol, active=active)
             active = sol.active
             pred = apply_step(pred, sol, cfg.alpha, cfg.limits, cfg.model)
             diag.rounds.append(sol)
-            if sol.step_norm < cfg.conv_tol:
+            if sol.step_norm < CONV_TOL:
                 break
     except QpSolveError as err:
         diag.failed = True

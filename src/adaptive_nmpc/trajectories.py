@@ -1,7 +1,9 @@
-"""Reference trajectory generation for the tracking benchmarks.
+"""Reference trajectories for the tracking benchmarks.
 
-Four shipped presets: two aggressive waypoint courses (``agg1``, ``agg2``),
-a circle (``circle``) and a diamond (``diamond``). Waypoint courses use
+Four shipped presets, built by :func:`preset`: two aggressive waypoint
+courses (``agg1``, ``agg2``), a circle (``circle``) and a diamond
+(``diamond``). Any other reference comes in as a CSV file
+(:meth:`ReferenceTrajectory.from_csv`). Waypoint courses use
 closed-form rest-to-rest 7th-order polynomial segments (position, velocity,
 acceleration and jerk all continuous at the joints, zero end velocities),
 which keeps references smooth and dynamically feasible without a trajectory
@@ -18,7 +20,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -60,14 +61,16 @@ class ReferenceWindow:
 class ReferenceTrajectory:
     """Uniformly sampled reference with per-point states and controls."""
 
-    def __init__(self, ts: np.ndarray, xs: np.ndarray, us: np.ndarray, dt: float, name: str = ""):
+    def __init__(self, ts: np.ndarray, xs: np.ndarray, us: np.ndarray, name: str = ""):
         self.ts = np.asarray(ts, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.us = np.asarray(us, dtype=float)
-        self.dt = float(dt)
         self.name = name
+        if len(self.ts) < 2:
+            raise ValueError("trajectory needs at least 2 points")
         if self.xs.shape != (len(self.ts), STATE_DIM) or self.us.shape != (len(self.ts), CONTROL_DIM):
             raise ValueError("inconsistent trajectory array shapes")
+        self.dt = float(self.ts[1] - self.ts[0])
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -79,8 +82,6 @@ class ReferenceTrajectory:
 
     def validate(self) -> None:
         """Reject a non-positive dt, non-finite values, uneven sampling, non-unit quaternions and jumps of 20 m/s or more."""
-        if len(self) < 2:
-            raise ValueError("trajectory needs at least 2 points")
         if not self.dt > 0.0:
             raise ValueError(f"sample time dt must be positive (t must increase), got {self.dt!r}")
         if not np.all(np.isfinite(self.xs)) or not np.all(np.isfinite(self.us)):
@@ -112,9 +113,7 @@ class ReferenceTrajectory:
             data = np.array([[float(v) for v in row] for row in reader])
         if data.ndim != 2 or data.shape[0] < 2:
             raise ValueError("trajectory CSV needs at least 2 data rows")
-        ts = data[:, 0]
-        dt = float(ts[1] - ts[0])
-        traj = cls(ts, data[:, 1:11], data[:, 11:15], dt, name or Path(path).stem)
+        traj = cls(data[:, 0], data[:, 1:11], data[:, 11:15], name or Path(path).stem)
         traj.validate()
         return traj
 
@@ -177,8 +176,28 @@ def derive_reference_controls(
 
 
 # ---------------------------------------------------------------------------
-# Generators
+# Presets
 # ---------------------------------------------------------------------------
+
+_DIAMOND_R = 2.0 / np.sqrt(2.0)  # centre-to-vertex distance of the diamond, side 2 m
+
+#: The waypoint-course presets: (waypoints, segment times in s).
+_COURSES = {
+    "agg1": (
+        [(0.0, 0.0, 1.0), (2.5, 1.5, 2.0), (5.0, -1.5, 1.2), (7.0, 0.5, 2.2)],
+        [1.7, 1.7, 1.7],
+    ),
+    "agg2": (
+        [(0.0, 0.0, 1.5), (1.5, 2.0, 2.5), (3.0, -2.0, 1.0), (4.5, 2.0, 2.5), (6.0, 0.0, 1.5)],
+        [1.6, 1.8, 1.8, 1.6],
+    ),
+    # a closed rhombus through 4 vertices at 1.5 m, one 8 s lap
+    "diamond": (
+        [(_DIAMOND_R, 0.0, 1.5), (0.0, _DIAMOND_R, 1.5), (-_DIAMOND_R, 0.0, 1.5), (0.0, -_DIAMOND_R, 1.5),
+         (_DIAMOND_R, 0.0, 1.5)],
+        [2.0, 2.0, 2.0, 2.0],
+    ),
+}
 
 
 def _time_grid(duration: float, dt: float) -> np.ndarray:
@@ -186,18 +205,15 @@ def _time_grid(duration: float, dt: float) -> np.ndarray:
     return np.arange(n + 1) * dt
 
 
-def gen_circle(radius: float, period: float, altitude: float, dt: float, name: str = "circle") -> ReferenceTrajectory:
-    """One lap of a constant-speed circle in the x-y plane at fixed altitude."""
-    if radius <= 0 or period <= 0 or dt <= 0:
-        raise ValueError("circle parameters must be positive")
+def _circle(radius: float, period: float, altitude: float, dt: float) -> tuple[np.ndarray, ...]:
+    """Sample times, position, velocity and acceleration of one constant-speed lap in the x-y plane."""
     ts = _time_grid(period, dt)
     th = 2.0 * np.pi * ts / period
     rate = 2.0 * np.pi / period
     pos = np.column_stack([radius * np.cos(th), radius * np.sin(th), np.full_like(ts, altitude)])
     vel = np.column_stack([-radius * rate * np.sin(th), radius * rate * np.cos(th), np.zeros_like(ts)])
     acc = np.column_stack([-radius * rate**2 * np.cos(th), -radius * rate**2 * np.sin(th), np.zeros_like(ts)])
-    xs, us = derive_reference_controls(pos, vel, acc, dt)
-    return ReferenceTrajectory(ts, xs, us, dt, name)
+    return ts, pos, vel, acc
 
 
 def _rest_to_rest(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,22 +224,10 @@ def _rest_to_rest(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, ds, dds
 
 
-def gen_aggressive(
-    waypoints: Sequence[Sequence[float]],
-    segment_times: Sequence[float],
-    dt: float,
-    name: str = "aggressive",
-) -> ReferenceTrajectory:
-    """Waypoint course of rest-to-rest 7th-order polynomial segments."""
+def _course(waypoints: list, segment_times: list, dt: float) -> tuple[np.ndarray, ...]:
+    """Sample times, position, velocity and acceleration of rest-to-rest segments through ``waypoints``."""
     wps = np.asarray(waypoints, dtype=float)
     times = np.asarray(segment_times, dtype=float)
-    if wps.ndim != 2 or wps.shape[1] != 3 or wps.shape[0] < 2:
-        raise ValueError("need at least 2 waypoints of dimension 3")
-    if len(times) != wps.shape[0] - 1:
-        raise ValueError(f"{wps.shape[0] - 1} segments need {wps.shape[0] - 1} times, got {len(times)}")
-    if dt <= 0 or np.any(times <= 0):
-        raise ValueError("dt and segment times must be positive")
-
     starts = np.concatenate([[0.0], np.cumsum(times)])
     ts = _time_grid(starts[-1], dt)
     seg = np.minimum(np.searchsorted(starts, ts, side="right") - 1, len(times) - 1)
@@ -234,46 +238,18 @@ def gen_aggressive(
     pos = wps[seg] + delta * s[:, None]
     vel = delta * (ds / times[seg])[:, None]
     acc = delta * (dds / times[seg] ** 2)[:, None]
-    xs, us = derive_reference_controls(pos, vel, acc, dt)
-    return ReferenceTrajectory(ts, xs, us, dt, name)
-
-
-def gen_diamond(side: float, lap_time: float, altitude: float, dt: float, name: str = "diamond") -> ReferenceTrajectory:
-    """Closed rhombus through 4 vertices in the x-y plane at fixed altitude."""
-    if side <= 0 or lap_time <= 0 or dt <= 0:
-        raise ValueError("diamond parameters must be positive")
-    d = side / np.sqrt(2.0)
-    verts = [
-        (d, 0.0, altitude),
-        (0.0, d, altitude),
-        (-d, 0.0, altitude),
-        (0.0, -d, altitude),
-        (d, 0.0, altitude),
-    ]
-    return gen_aggressive(verts, [lap_time / 4.0] * 4, dt, name=name)
+    return ts, pos, vel, acc
 
 
 def preset(name: str, dt: float = 0.05) -> ReferenceTrajectory:
-    """One of the four shipped benchmark trajectories."""
+    """One of the four shipped benchmark trajectories, sampled every ``dt`` seconds."""
+    if not dt > 0.0:
+        raise ValueError(f"sample time dt must be positive, got {dt!r}")
     if name == "circle":
-        return gen_circle(radius=2.0, period=6.0, altitude=1.5, dt=dt, name=name)
-    if name == "diamond":
-        return gen_diamond(side=2.0, lap_time=8.0, altitude=1.5, dt=dt, name=name)
-    if name == "agg1":
-        waypoints = [
-            (0.0, 0.0, 1.0),
-            (2.5, 1.5, 2.0),
-            (5.0, -1.5, 1.2),
-            (7.0, 0.5, 2.2),
-        ]
-        return gen_aggressive(waypoints, [1.7, 1.7, 1.7], dt, name=name)
-    if name == "agg2":
-        waypoints = [
-            (0.0, 0.0, 1.5),
-            (1.5, 2.0, 2.5),
-            (3.0, -2.0, 1.0),
-            (4.5, 2.0, 2.5),
-            (6.0, 0.0, 1.5),
-        ]
-        return gen_aggressive(waypoints, [1.6, 1.8, 1.8, 1.6], dt, name=name)
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+        ts, pos, vel, acc = _circle(radius=2.0, period=6.0, altitude=1.5, dt=dt)
+    elif name in _COURSES:
+        ts, pos, vel, acc = _course(*_COURSES[name], dt)
+    else:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    xs, us = derive_reference_controls(pos, vel, acc, dt)
+    return ReferenceTrajectory(ts, xs, us, name)

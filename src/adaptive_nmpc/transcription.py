@@ -38,6 +38,9 @@ from .trajectories import ReferenceWindow
 #: even when adaptation returns zeros.
 Q_MIN = 1e-6
 
+#: Riccati sweeps the active-set loop may run before :func:`solve_qp` gives up.
+QP_MAX_ITER = 200
+
 
 class QpSolveError(RuntimeError):
     """QP solve failed; the message says why."""
@@ -267,7 +270,6 @@ def _kkt_residual(
 def solve_qp(
     prob: ShootingProblem,
     tol: float = 1e-6,
-    max_iter: int = 200,
     active: np.ndarray | None = None,
 ) -> QpSolution:
     """Solve the stage-wise QP; raises :class:`QpSolveError` on failure.
@@ -277,7 +279,8 @@ def solve_qp(
     at the upper bound); None starts with every control free. It is
     ignored when the problem has no limits. The clamp values always come
     from the problem's own box. The solution carries the final working set
-    and the number of Riccati sweeps the loop ran.
+    and the number of Riccati sweeps the loop ran, at most
+    :data:`QP_MAX_ITER`.
 
     The reported residual is that of the weight-normalized problem (weights
     divided by their largest entry), which keeps the certificate meaningful
@@ -317,7 +320,7 @@ def solve_qp(
     seen_sets: set[bytes] = set()
     cycling = False
 
-    for sweeps in range(1, max_iter + 1):
+    for sweeps in range(1, QP_MAX_ITER + 1):
         clamped = act != 0
         at_upper = act > 0
         clamp_val = np.where(at_upper, hi, np.where(clamped, lo, 0.0))
@@ -354,7 +357,7 @@ def solve_qp(
             cycling = True
         seen_sets.add(sig)
     else:
-        raise QpSolveError(f"active-set loop did not converge within {max_iter} iterations")
+        raise QpSolveError(f"active-set loop did not converge within {QP_MAX_ITER} iterations")
     raise QpSolveError(f"KKT residual {res:.3e} exceeds tolerance {tol:.1e}")
 
 

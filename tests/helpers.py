@@ -38,6 +38,12 @@ def in_box(limits, u, tol=1e-9):
     return bool(np.all(u >= limits.lower - tol) and np.all(u <= limits.upper + tol))
 
 
+def _inexact(a):
+    """``a`` as an array of floats, or of complex numbers if it holds any; integers become floats."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, float), copy=False)
+
+
 def quat_to_rotmat(q):
     """Textbook scalar-first quaternion to rotation matrix, batched: ``(..., 4) -> (..., 3, 3)``.
 
@@ -45,8 +51,9 @@ def quat_to_rotmat(q):
     entry is ``w^2 + x^2 - y^2 - z^2``, not ``1 - 2 (y^2 + z^2)``), so a
     quaternion of norm ``s`` gives ``s^2 R``. That is also what the model's
     vector field computes between renormalizations, in the RK4 stages.
+    Complex input gives the analytic continuation, for complex-step derivatives.
     """
-    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    w, x, y, z = np.moveaxis(_inexact(q), -1, 0)
     rows = [
         [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
@@ -59,10 +66,10 @@ def hamilton_product(a, b):
     """Textbook Hamilton product ``a (x) b`` of scalar-first quaternions, batched.
 
     Scalar part ``aw bw - av.bv``, vector part ``(aw bv + bw av) + av x bv``,
-    written out by component.
+    written out by component. Complex-safe, like :func:`quat_to_rotmat`.
     """
-    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    aw, ax, ay, az = np.moveaxis(_inexact(a), -1, 0)
+    bw, bx, by, bz = np.moveaxis(_inexact(b), -1, 0)
     return np.stack(
         [
             aw * bw - (ax * bx + ay * by + az * bz),
@@ -115,13 +122,18 @@ def deriv_reference(x, u):
 
 
 def step_reference(x, u, dt):
-    """One RK4 step of :func:`deriv_reference` followed by quaternion renormalization."""
+    """One RK4 step of :func:`deriv_reference` followed by quaternion renormalization.
+
+    The norm is ``sqrt(sum(q * q))``, not ``np.linalg.norm`` (which takes
+    absolute values), so complex input gives the analytic continuation.
+    """
     k1 = deriv_reference(x, u)
     k2 = deriv_reference(x + 0.5 * dt * k1, u)
     k3 = deriv_reference(x + 0.5 * dt * k2, u)
     k4 = deriv_reference(x + dt * k3, u)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out[..., _QUAT] /= np.linalg.norm(out[..., _QUAT], axis=-1, keepdims=True)
+    q = out[..., _QUAT]
+    out[..., _QUAT] = q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
     return out
 
 
@@ -139,6 +151,22 @@ def central_difference_jacobians(step, x, u, dt, h=1e-6):
         e[i] = h
         B[:, i] = (step(x, u + e, dt) - step(x, u - e, dt)) / (2 * h)
     return A, B
+
+
+def complex_step_jacobians(step, x, u, dt, h=1e-30):
+    """Complex-step derivatives of a discrete step map, batched: ``A (..., n, n)`` and ``B (..., n, m)``.
+
+    Column ``j`` is ``Im step(z + i h e_j) / h`` over ``z = (x, u)``
+    (Martins, Sturdza & Alonso, ACM TOMS 2003). Nothing is subtracted, so
+    the error is of order ``h^2`` with no cancellation: exact to round-off
+    for ``step`` analytic in its inputs.
+    """
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    n = x.shape[-1]
+    probe = 1j * h * np.eye(n + u.shape[-1])
+    cols = step(x[..., None, :] + probe[:, :n], u[..., None, :] + probe[:, n:], dt).imag / h
+    jac = np.swapaxes(cols, -1, -2)
+    return jac[..., :n], jac[..., n:]
 
 
 def dense_stage_qp(A, B, defects, qs, rs, qlin, rlin, gap):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from adaptive_nmpc import controller
 from adaptive_nmpc.adaptation import AdaptConfig, update_weights_linear
 from adaptive_nmpc.controller import ControllerConfig, baseline_tick, init_controller
 from adaptive_nmpc.dynamics import QUADROTOR, ControlLimits
@@ -134,7 +135,7 @@ def test_criterion_jacobians_and_quaternion_drift():
     )
 
 
-def test_criterion_baseline_lti_tracking():
+def test_criterion_baseline_lti_tracking(monkeypatch):
     rng = np.random.default_rng(3)
     n, m, horizon = 10, 4, 8
     model = LinearModel(np.eye(n) + 0.08 * rng.standard_normal((n, n)), 0.4 * rng.standard_normal((n, m)))
@@ -153,8 +154,9 @@ def test_criterion_baseline_lti_tracking():
     _, du_o = dense_equality_qp(A, B, defects, qs, rs, 0 * qs, 0 * rs, x0 - ref_xs[0])
     u0_oracle = ref_us[0] + du_o[0]
 
+    monkeypatch.setattr(controller, "CONV_TOL", 1e-13)
     cfg = ControllerConfig(
-        horizon=horizon, dt=0.1, alternations=60, conv_tol=1e-13,
+        horizon=horizon, dt=0.1, alternations=60,
         fixed_weights=WeightVector(q, r), limits=None, model=model,
     )
     cmd, _, _ = baseline_tick(init_controller(cfg), x0, win, cfg)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adaptive_nmpc import cli
+from adaptive_nmpc import cli, harness, transcription
 from adaptive_nmpc.adaptation import LINEAR_Q_MAX
 from adaptive_nmpc.cli import main, read_simlog_csv, render_table, write_report_csv, write_simlog_csv
 from adaptive_nmpc.harness import Cell, CellResult, MetricsReport, SimLog
@@ -202,7 +202,7 @@ class TestSimulate:
         else:
             ts[5:] += 0.01
         traj_path = tmp_path / "tr.csv"
-        ReferenceTrajectory(ts, xs, tr.us, tr.dt).to_csv(traj_path)
+        ReferenceTrajectory(ts, xs, tr.us).to_csv(traj_path)
         rc = main(["simulate", "--trajectory", f"file:{traj_path}", "--horizon", "8", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
@@ -580,6 +580,22 @@ class TestTableCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize(
+        "flags, sub_horizon, horizon",
+        [
+            (["--sub-horizon", "25"], 25, 19),
+            (["--horizon", "6"], 8, 6),
+            (["--horizon", "10", "--sub-horizon", "11"], 11, 10),
+        ],
+    )
+    def test_table3_rejects_sub_horizon_above_horizon(self, tmp_path, no_run, capsys, flags, sub_horizon, horizon):
+        # Table 3 runs its adaptive rows on the config's own sub-horizon, so every one of them would be skipped
+        rc = main(["table", "--table", "3", "--runs", "1", *flags, "--out", str(tmp_path / "t")])
+        assert rc == 1
+        message = f"error: sub-horizon {sub_horizon} exceeds horizon {horizon}: no adaptive cell can run"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("table, runs", [(1, 1), (2, 1), (3, 15)])
     def test_default_config_header(self, tmp_path, monkeypatch, table, runs):
         def fake_grid(grid, base, seed=0, max_workers=None):
@@ -641,9 +657,8 @@ class TestFirstTickFailure:
     @pytest.fixture(autouse=True)
     def one_qp_iteration(self, monkeypatch):
         make = cli.RunConfig.controller_config
-        monkeypatch.setattr(
-            cli.RunConfig, "controller_config", lambda cfg: replace(make(cfg), qp_max_iter=1, limits=SATURATED_BOX)
-        )
+        monkeypatch.setattr(cli.RunConfig, "controller_config", lambda cfg: replace(make(cfg), limits=SATURATED_BOX))
+        monkeypatch.setattr(transcription, "QP_MAX_ITER", 1)
 
     def test_simulate_logs_finite_rows_and_exits_1(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -664,7 +679,9 @@ class TestFirstTickFailure:
         assert main(["plotdata", "--log", str(out / "log.csv"), "--out", str(plots)]) == 0
         TestPlotdata.assert_per_log_files(plots, out / "log.csv", "")
 
-    def test_table_marks_cells_failed_and_exits_1(self, tmp_path):
+    def test_table_marks_cells_failed_and_exits_1(self, tmp_path, monkeypatch):
+        # the patched QP_MAX_ITER lives in this process only, so the cells run here, not in pool workers
+        monkeypatch.setenv(harness.THREADS_ENV, "1")
         out = tmp_path / "t3"
         assert main(["table", "--table", "3", "--runs", "1", "--out", str(out)]) == 1
         with open(out / "table3_report.csv") as fh:

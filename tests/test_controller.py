@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from adaptive_nmpc import controller, harness
+from adaptive_nmpc import controller, harness, transcription
 from adaptive_nmpc.adaptation import EXP_CLAMP, AdaptConfig, update_weights
 from adaptive_nmpc.controller import (
     ControllerConfig,
@@ -215,13 +215,14 @@ class TestWeightUpdate:
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=3)
         _, _, diag = nmpc_tick(init_controller(cfg), win.xs[0], win, cfg)
-        assert len(diag.rounds) == 1  # hover is a fixed point: the first step is below conv_tol
+        assert len(diag.rounds) == 1  # hover is a fixed point: the first step is below CONV_TOL
         assert len(calls) == 1
 
     def test_once_after_all_rounds(self, monkeypatch):
         calls = self.count_updates(monkeypatch)
+        monkeypatch.setattr(controller, "CONV_TOL", 0.0)
         win = hover_window(N + 2)
-        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=3, conv_tol=0.0)
+        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=3)
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1
         st = init_controller(cfg)
@@ -351,11 +352,12 @@ class TestFailurePolicy:
         assert np.all(np.isfinite(st2.weights.q))
         assert st2.pred is None
 
-    def test_first_tick_failure_holds_clamped_reference(self):
+    def test_first_tick_failure_holds_clamped_reference(self, monkeypatch):
         # one active-set iteration is too few under the saturated box, so the
         # very first QP fails and there is no previous command to hold
+        monkeypatch.setattr(transcription, "QP_MAX_ITER", 1)
         traj = preset("agg1")
-        cfg = ControllerConfig(qp_max_iter=1, limits=SATURATED_BOX)
+        cfg = ControllerConfig(limits=SATURATED_BOX)
         refs = traj.window(0, cfg.horizon + 1)
         cmd, st2, diag = nmpc_tick(init_controller(cfg), traj.xs[0], refs, cfg)
         assert diag.failed
@@ -380,7 +382,7 @@ class TestFailurePolicy:
 
 
 class TestLtiTracking:
-    def test_baseline_converges_to_dense_tracking_oracle(self):
+    def test_baseline_converges_to_dense_tracking_oracle(self, monkeypatch):
         rng = np.random.default_rng(3)
         n, m, horizon = 10, 4, 8
         model = LinearModel(np.eye(n) + 0.08 * rng.standard_normal((n, n)), 0.4 * rng.standard_normal((n, m)))
@@ -401,11 +403,11 @@ class TestLtiTracking:
         dx_o, du_o = dense_equality_qp(A, B, defects, qs, rs, 0 * qs, 0 * rs, x0 - ref_xs[0])
         u0_oracle = ref_us[0] + du_o[0]
 
+        monkeypatch.setattr(controller, "CONV_TOL", 1e-13)
         cfg = ControllerConfig(
             horizon=horizon,
             dt=0.1,
             alternations=60,
-            conv_tol=1e-13,
             fixed_weights=WeightVector(q, r),
             limits=None,
             model=model,

@@ -8,6 +8,7 @@ import pytest
 from adaptive_nmpc.dynamics import GRAVITY, QUADROTOR, ControlLimits, State, _deriv, _rotate
 from helpers import (
     central_difference_jacobians,
+    complex_step_jacobians,
     deriv_reference,
     hover_control,
     hover_state,
@@ -149,6 +150,17 @@ class TestLinearizeDiscrete:
             A_fd, B_fd = central_difference_jacobians(QUADROTOR.step, x, u, dt)
             worst = max(worst, np.abs(A - A_fd).max(), np.abs(B - B_fd).max())
         assert worst < 1e-5
+
+    def test_matches_complex_step_jacobians_of_the_reference_step(self):
+        # an independent map (rotation matrix and Hamilton product) differentiated without cancellation
+        rng = np.random.default_rng(11)
+        x = random_batch(random_state_vector, rng, (200,))
+        u = random_batch(random_control_vector, rng, (200,))
+        _, A, B = QUADROTOR.discretize(x, u, 0.05)
+        A_cs, B_cs = complex_step_jacobians(step_reference, x, u, 0.05)
+        for got, ref in ((A, A_cs), (B, B_cs)):
+            rel = np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+            assert rel.max() <= 1e-12, f"max relative error {rel.max():.2e}"
 
 
 class TestControlLimits:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptive_nmpc import harness
+from adaptive_nmpc import harness, transcription
 from adaptive_nmpc.adaptation import AdaptConfig
 from adaptive_nmpc.cli import RunConfig, table_grid
 from adaptive_nmpc.controller import ControllerConfig
@@ -80,7 +80,7 @@ class TestClosedLoop:
         # a file whose t starts at 1.0 reads dt = t[1] - t[0] = 0.050000000000000044
         tr = preset("circle")
         ts = tr.ts[:30] + 1.0
-        shifted = ReferenceTrajectory(ts, tr.xs[:30], tr.us[:30], ts[1] - ts[0])
+        shifted = ReferenceTrajectory(ts, tr.xs[:30], tr.us[:30])
         assert shifted.dt != 0.05
         log = run_closed_loop(shifted, ControllerConfig(horizon=8))
         assert len(log) == 30 and log.failures == 0
@@ -233,12 +233,14 @@ class TestGrid:
         assert len(res.per_run_e) == 3
         assert res.report.e_r == pytest.approx(float(np.mean(res.per_run_e)), rel=1e-15)
 
-    def test_cell_with_held_commands_fails(self):
+    def test_cell_with_held_commands_fails(self, monkeypatch):
         cell = Cell("agg1", "fixed", None, 19, None, 0.0, "exponential", 1)
-        res = run_cell(cell, ControllerConfig(qp_max_iter=1, limits=SATURATED_BOX))
+        monkeypatch.setattr(transcription, "QP_MAX_ITER", 1)
+        res = run_cell(cell, ControllerConfig(limits=SATURATED_BOX))
         assert res.status == "failed"
         assert res.report is None
         assert res.message == "run 0: 103 of 103 ticks failed their QP and held the command"
+        monkeypatch.undo()
         healthy = run_cell(cell, ControllerConfig(limits=SATURATED_BOX))
         assert healthy.status == "ok"
         assert healthy.message == ""
