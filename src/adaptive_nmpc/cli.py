@@ -316,6 +316,9 @@ def render_table(results: list[CellResult], columns: list, column_label: str, no
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args, unread=frozenset({"runs"}))
+    # in either mode: a fixed-weight run reads no sub-horizon, but echoes it in its artifacts
+    if cfg.sub_horizon > cfg.horizon:
+        raise ValueError(f"sub_horizon {cfg.sub_horizon} exceeds horizon {cfg.horizon}")
     controller_cfg = cfg.controller_config()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -341,7 +344,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         fh.write("\n")
     print(f"e = {e:.4f}  tv = {tv:.4f}  -> {out / 'log.csv'}")
     if log.failures:
-        print(f"warning: controller failed on {log.failures} ticks (held command)", file=sys.stderr)
+        warning = f"warning: controller failed on {log.failures} ticks (held command); {log.first_failure_text}"
+        print(warning, file=sys.stderr)
         return 1
     return 0
 

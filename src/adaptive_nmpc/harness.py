@@ -5,10 +5,11 @@ the same integrator that the transcription linearizes, so tracking error is
 driven by reference/feedforward inconsistency, control saturation, and the
 injected measurement noise.
 
-Noise protocol: one trajectory index ``tau`` is drawn uniformly per run;
-at that tick the measured position is corrupted as ``p' = p + sigma * nu``
-with an isotropic Gaussian draw ``nu`` rescaled to ``|nu| = |p|``.
-Velocity and attitude are never corrupted.
+Noise protocol: one trajectory index ``tau`` is drawn uniformly per noisy
+run, from a generator seeded with the run's seed; at that tick the measured
+position is corrupted as ``p' = p + sigma * nu`` with an isotropic Gaussian
+draw ``nu`` rescaled to ``|nu| = |p|``. Velocity and attitude are never
+corrupted. A noise-free run builds no generator.
 """
 
 from __future__ import annotations
@@ -50,9 +51,18 @@ class SimLog:
     q_snapshot: np.ndarray  # (L, 10)
     kkt: np.ndarray  # (L,), NaN exactly on the failed ticks
     failures: int = 0
+    first_failure: tuple[int, str] | None = None  # (tick, reason) of the first failed tick
 
     def __len__(self) -> int:
         return len(self.ts)
+
+    @property
+    def first_failure_text(self) -> str:
+        """``first at tick <i>: <reason>``, or empty when no tick failed."""
+        if self.first_failure is None:
+            return ""
+        tick, reason = self.first_failure
+        return f"first at tick {tick}: {reason}"
 
     @property
     def position_error(self) -> np.ndarray:
@@ -114,11 +124,10 @@ def run_closed_loop(
     model = cfg.model
     tick = baseline_tick if cfg.adapt is None else nmpc_tick
 
+    # the generator exists only for a noisy run, so a noise-free one never imports numpy.random
     tau = -1
-    sigma = 0.0
-    rng = np.random.default_rng(seed)
     if noise is not None:
-        sigma = noise.sigma
+        rng = np.random.default_rng(seed)
         tau = int(rng.integers(0, L))
 
     state = init_controller(cfg)
@@ -136,8 +145,8 @@ def run_closed_loop(
 
     for i in range(L):
         x_meas = x_true
-        if i == tau and sigma > 0.0:
-            x_meas = inject_noise(State.from_vector(x_true), sigma, rng).as_vector()
+        if i == tau and noise.sigma > 0.0:
+            x_meas = inject_noise(State.from_vector(x_true), noise.sigma, rng).as_vector()
         window = traj.window(i, cfg.horizon + 1)
         u, state, diag = tick(state, x_meas, window, cfg)
 
@@ -148,6 +157,8 @@ def run_closed_loop(
         log.kkt[i] = diag.kkt_residual
         if diag.failed:
             log.failures += 1
+            if log.first_failure is None:
+                log.first_failure = (i, diag.message)
 
         x_true = model.step(x_true, u, cfg.dt)
     return log
@@ -235,7 +246,10 @@ def run_cell(cell: Cell, base: ControllerConfig, seed: int = 0) -> CellResult:
             noise = NoiseConfig(sigma=cell.sigma) if cell.sigma > 0.0 else None
             log = run_closed_loop(traj, cfg, noise=noise, seed=seed + k)
             if log.failures:
-                message = f"run {k}: {log.failures} of {len(log)} ticks failed their QP and held the command"
+                message = (
+                    f"run {k}: {log.failures} of {len(log)} ticks failed their QP and held the command; "
+                    + log.first_failure_text
+                )
                 return CellResult(cell, "failed", message=message)
             es.append(metric_total_error(log))
             tvs.append(metric_tv(log.u_applied))

@@ -5,12 +5,14 @@
 ``ShootingProblem.stages``, ``State.as_vector``, ``AdaptConfig(variant="exponential")``
 and more), so deleting or renaming one of them breaks the benchmark without
 failing any other test. These runs each check the benchmark once: the
-self-test of its output checks, one traced round of ``saturated``, the set-up
-of ``noise-sweep`` and, marked ``slow``, one untraced round of ``noise-sweep``
-(its pool patch of ``harness.ProcessPoolExecutor``, ``run_experiment_grid``'s
-``max_workers``, the report writer and the Table 3 renderer). Not run here:
-``track``, an untraced ``saturated`` round and the traced ``noise-sweep``
-(its serial column). They write only under ``perfbench/out/``.
+self-test of its output checks, one traced round of ``saturated``, one
+untraced round of ``track`` (the workload of the paper's nominal case), the
+set-up of ``noise-sweep`` and, marked ``slow``, one untraced round of
+``noise-sweep`` (its pool patch of ``harness.ProcessPoolExecutor``,
+``run_experiment_grid``'s ``max_workers``, the report writer and the Table 3
+renderer). Not run here: a traced ``track`` round, an untraced ``saturated``
+round and the traced ``noise-sweep`` (its serial column). They write only
+under ``perfbench/out/``.
 
 The model's step must also pass the benchmark's replay check, which compares
 every logged transition with the scalar RK4 oracle in ``perfbench/checks.py``;
@@ -51,6 +53,13 @@ def test_selftest_passes():
 
 def test_traced_saturated_round_is_correct():
     proc = run(str(PERFBENCH / "run.py"), "--workload", "saturated", "--seconds", "0", "--trace", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert '"correct": true' in proc.stdout
+
+
+def test_untraced_track_round_is_correct():
+    # the four presets in both modes at N=19, about 8 s on two CPUs
+    proc = run(str(PERFBENCH / "run.py"), "--workload", "track", "--seconds", "0")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert '"correct": true' in proc.stdout
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -222,6 +223,13 @@ class TestSimulate:
         assert "error: lam must be positive, got -1.0" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    def test_sub_horizon_above_horizon_rejected(self, tmp_path, capsys, mode):
+        args = ["--mode", mode, "--horizon", "8", "--sub-horizon", "25", "--out", str(tmp_path / "x")]
+        assert main(["simulate", *args]) == 1
+        assert capsys.readouterr().err == "error: sub_horizon 25 exceeds horizon 8\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "flag, key, value",
         [
@@ -257,8 +265,15 @@ class TestSimulate:
         q = data[:, cli.SIMLOG_COLUMNS.index("q0"):]
         assert q.max() == LINEAR_Q_MAX
 
-    @pytest.mark.parametrize("sigma", ["1e300", "1e308"])
-    def test_hostile_noise_fails_its_tick_quietly(self, tmp_path, capsys, sigma):
+    @pytest.mark.parametrize(
+        "sigma, reason",
+        [
+            ("1e300", r"KKT residual \S+ exceeds tolerance 1\.0e-06"),
+            ("1e308", r"non-finite QP data in gap"),
+        ],
+        ids=["1e300", "1e308"],
+    )
+    def test_hostile_noise_fails_its_tick_quietly(self, tmp_path, capsys, sigma, reason):
         # at 1e308 the corrupted position overflows to inf; at either sigma the QP rejects that tick
         out = tmp_path / "run"
         args = ["--trajectory", "agg1", "--mode", "adaptive", "--noise-sigma", sigma, "--out", str(out)]
@@ -267,13 +282,15 @@ class TestSimulate:
             assert main(["simulate", *args]) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert "warning: controller failed on 1 ticks (held command)" in err
         assert "RuntimeWarning" not in err
         assert json.loads((out / "summary.json").read_text())["controller_failures"] == 1
         # the noise tick, drawn as run_closed_loop draws it for seed 0
         tau = int(np.random.default_rng(0).integers(0, len(preset("agg1"))))
         _, _, cols = read_text_columns(out / "log.csv")
         assert [i for i, v in enumerate(cols["kkt"]) if v == ""] == [tau]
+        # the warning names the failed tick and the QP's reason
+        warning = rf"warning: controller failed on 1 ticks \(held command\); first at tick {tau}: {reason}\n"
+        assert re.fullmatch(warning, err)
 
     def test_runtime_failure_exit_code(self, tmp_path):
         rc = main(["simulate", "--trajectory", "file:/nonexistent.csv", "--out", str(tmp_path / "x")])

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,6 +106,42 @@ class TestClosedLoop:
         log_b = run_closed_loop(traj, cfg, noise=NoiseConfig(sigma=2.0), seed=3)
         np.testing.assert_array_equal(log_a.x_true, log_b.x_true)
         np.testing.assert_array_equal(log_a.x_meas, log_b.x_meas)
+
+    def test_noisy_run_draws_tick_then_kick(self):
+        # one generator per noisy run, seeded with the run's seed: the noise tick, then the kick
+        traj, seed, sigma = preset("agg1"), 3, 2.0
+        log = run_closed_loop(traj, ControllerConfig(adapt=AdaptConfig()), noise=NoiseConfig(sigma=sigma), seed=seed)
+        rng = np.random.default_rng(seed)
+        tau = int(rng.integers(0, len(traj)))
+        nu = rng.standard_normal(3)
+        nu /= np.linalg.norm(nu)
+        p = log.x_true[tau, :3]
+        nu *= float(np.linalg.norm(p))
+        assert np.flatnonzero(np.any(log.x_meas != log.x_true, axis=1)).tolist() == [tau]
+        np.testing.assert_array_equal(log.x_meas[tau, :3], p + sigma * nu)
+        np.testing.assert_array_equal(log.x_meas[tau, 3:], log.x_true[tau, 3:])
+
+    def test_noise_free_runs_never_import_numpy_random(self):
+        # in a fresh interpreter, since this one has imported numpy.random long ago
+        script = textwrap.dedent(
+            """
+            import sys
+            from adaptive_nmpc.cli import RunConfig, table_grid
+            from adaptive_nmpc.controller import ControllerConfig
+            from adaptive_nmpc.harness import run_cell, run_closed_loop
+            from adaptive_nmpc.trajectories import preset
+
+            assert run_closed_loop(preset("agg1"), ControllerConfig()).failures == 0
+            cell = next(c for c in table_grid(1, RunConfig()).cells() if c.mode == "adaptive")
+            assert run_cell(cell, ControllerConfig()).status == "ok"
+            print("numpy.random" in sys.modules)
+            """
+        )
+        src = Path(harness.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize(
@@ -239,7 +281,10 @@ class TestGrid:
         res = run_cell(cell, ControllerConfig(limits=SATURATED_BOX))
         assert res.status == "failed"
         assert res.report is None
-        assert res.message == "run 0: 103 of 103 ticks failed their QP and held the command"
+        assert res.message == (
+            "run 0: 103 of 103 ticks failed their QP and held the command; "
+            "first at tick 0: active-set loop did not converge within 1 iterations"
+        )
         monkeypatch.undo()
         healthy = run_cell(cell, ControllerConfig(limits=SATURATED_BOX))
         assert healthy.status == "ok"
