@@ -8,14 +8,17 @@ One prediction step solves, for fixed diagonal weights,
           u_min <= u_pr_k + du_k <= u_max
 
 with ``dz_k = [dx_k; du_k]`` and ``l_k`` the reference error of the current
-prediction. The equality-constrained core is solved by a backward Riccati
-recursion with affine terms; the control boxes are handled by an outer
-active-set loop that clamps components and checks multiplier signs. The
-loop can start from a given working set (the controller passes the one
-the previous round or tick ended with), and clamped components are masked
-out of each sweep rather than selected away, so every stage keeps its
-shape. The success certificate is the KKT residual of the
-weight-normalized problem.
+prediction. The QP is condensed once: the dynamics give every ``dx_k`` as
+an affine map of the stacked controls, which leaves a dense QP in the N*4
+controls alone, with Hessian ``H`` and gradient ``H du + g`` (Frison and
+Jorgensen, CDC 2013). The control boxes are handled by an active-set loop
+on that dense QP, as in qpOASES (Ferreau et al., Math. Prog. Comp. 2014):
+each working set holds some controls at a bound and solves one linear
+system in the free ones, then checks the bounds of the free controls and
+the multiplier signs of the held ones. The loop can start from a given
+working set (the controller passes the one the previous round or tick
+ended with). The success certificate is the KKT residual of the
+weight-normalized problem, with costates from one backward pass.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .trajectories import ReferenceWindow
 #: even when adaptation returns zeros.
 Q_MIN = 1e-6
 
-#: Riccati sweeps the active-set loop may run before :func:`solve_qp` gives up.
+#: Working sets the active-set loop may solve before :func:`solve_qp` gives up.
 QP_MAX_ITER = 200
 
 
@@ -124,7 +127,7 @@ class QpSolution:
     du: np.ndarray  # (N, 4)
     kkt_residual: float
     active: np.ndarray | None = None  # (N, 4) int8 final working set: -1 lower, 0 free, +1 upper
-    sweeps: int = 0  # Riccati sweeps the active-set loop ran
+    sweeps: int = 0  # working sets the active-set loop solved
 
     @property
     def step_norm(self) -> float:
@@ -167,76 +170,49 @@ def build_qp(
     )
 
 
-def _riccati_solve(
-    A: np.ndarray,
-    B: np.ndarray,
-    defects: np.ndarray,
-    qs: np.ndarray,
-    rs: np.ndarray,
-    qlin: np.ndarray,
-    rlin: np.ndarray,
-    gap: np.ndarray,
-    clamp_val: np.ndarray,
-    clamped: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward/forward sweep for the equality-constrained LQ problem.
+def _condense(A, B, defects, qs, rs, qlin, rlin, gap):
+    """The state deviations as an affine map of the controls, and the dense QP they leave.
 
-    Components marked in ``clamped`` are held at ``clamp_val``. Every stage
-    keeps its full shape: the clamped columns of ``B`` are zeroed, the
-    clamped rows and columns of ``Quu`` are the identity (so their feedback
-    and feedforward come out exactly zero) and the clamp values are folded
-    into the defect. The sweep runs on the augmented state ``z = [dx; 1]``,
-    which carries the affine terms: the cost-to-go is ``z^T [[P, p/2],
-    [p^T/2, 0]] z`` and one solve with ``Quu`` gives the gain ``[K | k]``.
-    Returns (dx, du, lam) where ``lam[k]`` is the costate 2 P_k dx_k + p_k
-    used for stationarity checks.
+    Returns ``G (N+1, n, Nm+1)`` with ``dx_k = G_k [du; 1]``: its leading
+    columns are ``Gamma_k`` and its last the free response ``c_k``. Also
+    returns ``H = 2 (Gamma^T diag(q) Gamma + diag(r))`` and
+    ``g = Gamma^T (2 q c + qlin) + rlin``, so that ``H du + g`` is the
+    cost's gradient in ``du``. ``H`` is summed one stage product at a time:
+    one product over all stages runs threaded in BLAS, and its last bits
+    then depend on the thread count.
     """
     N, n, m = B.shape
-    z, u = slice(0, n + 1), slice(n + 1, n + 1 + m)
-    held = np.where(clamped, clamp_val, 0.0)
-    # stage map z+ = G [z; du]
-    G = np.zeros((N, n + 1, n + 1 + m))
-    G[:, :n, :n] = A
-    G[:, :n, n] = defects + np.einsum("kij,kj->ki", B, held)
-    G[:, n, n] = 1.0
-    G[:, :n, u] = B * ~clamped[:, None, :]
-    # stage cost [z; du]^T C [z; du]
-    ix, iu = np.arange(n), np.arange(n + 1, n + 1 + m)
-    C = np.zeros((N + 1, n + 1 + m, n + 1 + m))
-    C[:, ix, ix] = qs
-    C[:, ix, n] = C[:, n, ix] = 0.5 * qlin
-    C[:N, iu, iu] = np.where(clamped, 1.0, rs)
-    C[:N, iu, n] = C[:N, n, iu] = np.where(clamped, 0.0, 0.5 * rlin)
-
-    K = np.empty((N, m, n + 1))  # [K | k]
-    P = np.empty((N + 1, n + 1, n + 1))
-    P[N] = C[N, z, z]
-    # buffers made once per call; H is formed as (G^T P) G, and another product order changes the last bits
-    Gt = G.transpose(0, 2, 1).copy()
-    GtP = np.empty((n + 1 + m, n + 1))
-    H = np.empty((n + 1 + m, n + 1 + m))
-    S = np.empty((n + 1, n + 1))
-    for k in range(N - 1, -1, -1):
-        np.matmul(Gt[k], P[k + 1], out=GtP)
-        np.matmul(GtP, G[k], out=H)
-        H += C[k]
-        gain = np.linalg.solve(H[u, u], H[u, z])
-        np.negative(gain, out=K[k])
-        np.matmul(H[z, u], gain, out=S)
-        np.subtract(H[z, z], S, out=S)
-        np.add(S, S.T, out=P[k])
-        P[k] *= 0.5
-        P[k, n, n] = 0.0  # the cost-to-go constant is never used; zeroing it keeps it from growing
-
-    zs = np.empty((N + 1, n + 1))
-    zs[0, :n] = gap
-    zs[0, n] = 1.0
-    closed = G[:, :, z] + G[:, :, u] @ K
+    nu = N * m
+    G = np.zeros((N + 1, n, nu + 1))
+    G[0, :, nu] = gap
     for k in range(N):
-        np.matmul(closed[k], zs[k], out=zs[k + 1])
-    du = np.einsum("kij,kj->ki", K, zs[:-1]) + held
-    lam = 2.0 * np.einsum("kij,kj->ki", P[:, :n], zs)
-    return zs[:, :n].copy(), du, lam
+        np.matmul(A[k], G[k], out=G[k + 1])
+        G[k + 1, :, k * m : (k + 1) * m] = B[k]
+        G[k + 1, :, nu] += defects[k]
+    W = 2.0 * qs[:, :, None] * G
+    W[:, :, nu] += qlin
+    # K = [H - 2 diag(r) | g - rlin]
+    K = np.zeros((nu, nu + 1))
+    term = np.empty_like(K)
+    for k in range(1, N + 1):
+        np.matmul(G[k, :, :nu].T, W[k], out=term)
+        K += term
+    return G, K[:, :nu] + np.diag(2.0 * rs.ravel()), K[:, nu] + rlin.ravel()
+
+
+def _solve_working_set(H, g, clamp_val, clamped):
+    """Minimizer of the condensed QP with the clamped controls held, and its gradient ``H du + g``.
+
+    Solves ``H_FF du_F = -(g_F + H_FC du_C)`` over the free controls F, with
+    ``du_C`` the clamp values. Both results have the shape of ``clamped``.
+    """
+    held = clamped.ravel()
+    free = ~held
+    du = np.where(held, clamp_val.ravel(), 0.0)
+    if free.any():
+        H_F = H[free]
+        du[free] = np.linalg.solve(H_F[:, free], -(g[free] + H_F[:, held] @ du[held]))
+    return du.reshape(clamped.shape), (H @ du + g).reshape(clamped.shape)
 
 
 def _kkt_residual(
@@ -279,8 +255,9 @@ def solve_qp(
     at the upper bound); None starts with every control free. It is
     ignored when the problem has no limits. The clamp values always come
     from the problem's own box. The solution carries the final working set
-    and the number of Riccati sweeps the loop ran, at most
-    :data:`QP_MAX_ITER`.
+    and the number of working sets the loop solved, at most
+    :data:`QP_MAX_ITER`. When the certificate fails, the error names the
+    largest-magnitude input as well, so a huge measurement shows as a huge gap.
 
     The reported residual is that of the weight-normalized problem (weights
     divided by their largest entry), which keeps the certificate meaningful
@@ -289,8 +266,9 @@ def solve_qp(
     """
     N = prob.horizon
     A, B, defects = prob.A, prob.B, prob.defects
-    for name, arr in (("A", A), ("B", B), ("defects", defects), ("gap", prob.initial_gap),
-                      ("lx", prob.lx), ("lu", prob.lu), ("q", prob.qs), ("r", prob.rs)):
+    inputs = (("A", A), ("B", B), ("defects", defects), ("gap", prob.initial_gap),
+              ("lx", prob.lx), ("lu", prob.lu), ("q", prob.qs), ("r", prob.rs))
+    for name, arr in inputs:
         if not np.isfinite(arr).all():
             raise QpSolveError(f"non-finite QP data in {name}")
 
@@ -315,6 +293,8 @@ def solve_qp(
                 raise ValueError(f"active set must be an {act.shape} array of -1, 0 or +1")
             act[:] = active
 
+    G, H, g = _condense(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap)
+
     dual_tol = 1e-10
     res = float("nan")
     seen_sets: set[bytes] = set()
@@ -324,9 +304,7 @@ def solve_qp(
         clamped = act != 0
         at_upper = act > 0
         clamp_val = np.where(at_upper, hi, np.where(clamped, lo, 0.0))
-        dx, du, lam = _riccati_solve(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap, clamp_val, clamped)
-
-        grad_u = 2.0 * rs * du + rlin + np.einsum("kji,kj->ki", B, lam[1:])
+        du, grad_u = _solve_working_set(H, g, clamp_val, clamped)
 
         viol_hi = ~clamped & (du > hi + 1e-12)
         viol_lo = ~clamped & (du < lo - 1e-12)
@@ -335,8 +313,13 @@ def solve_qp(
         release = clamped & (mult < -dual_tol)
 
         if not viol_hi.any() and not viol_lo.any() and not release.any():
+            dx = G @ np.append(du.ravel(), 1.0)
             if not (np.isfinite(dx).all() and np.isfinite(du).all()):
                 raise QpSolveError("QP solve produced non-finite iterates")
+            # costates from one backward pass: lam_k = 2 q_k dx_k + qlin_k + A_k^T lam_{k+1}
+            lam = 2.0 * qs * dx + qlin
+            for k in range(N - 1, -1, -1):
+                lam[k] += A[k].T @ lam[k + 1]
             res = _kkt_residual(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap, lo, hi, dx, du, lam)
             if res <= tol:
                 return QpSolution(dx, du, res, act, sweeps)
@@ -358,7 +341,8 @@ def solve_qp(
         seen_sets.add(sig)
     else:
         raise QpSolveError(f"active-set loop did not converge within {QP_MAX_ITER} iterations")
-    raise QpSolveError(f"KKT residual {res:.3e} exceeds tolerance {tol:.1e}")
+    size, name = max((float(np.abs(arr).max()), name) for name, arr in inputs)
+    raise QpSolveError(f"KKT residual {res:.3e} exceeds tolerance {tol:.1e}; largest QP input |{name}| = {size:.1e}")
 
 
 def apply_step(

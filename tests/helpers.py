@@ -285,6 +285,24 @@ class LinearModel:
         return np.asarray(x, dtype=float).copy()
 
 
+def _held_kkt(H, g, E, e, nx, working, lo_flat, hi_flat):
+    """Dense KKT solve of :func:`dense_stage_qp` with controls held at their bounds.
+
+    ``working`` holds -1 (held at ``lo``), 0 (free) or +1 (held at ``hi``)
+    per control. Returns the primal solution and the multipliers of the
+    held controls, in control order.
+    """
+    held = np.flatnonzero(working)
+    S = np.zeros((len(held), H.shape[0]))
+    S[np.arange(len(held)), nx + held] = 1.0
+    values = np.where(working > 0, hi_flat, lo_flat)[held]
+    E = np.vstack([E, S])
+    rows = E.shape[0]
+    kkt = np.block([[H, E.T], [E, np.zeros((rows, rows))]])
+    sol = np.linalg.solve(kkt, np.concatenate([-g, e, values]))
+    return sol[: H.shape[0]], sol[H.shape[0] + rows - len(held) :]
+
+
 def enumerated_box_qp(A, B, defects, qs, rs, qlin, rlin, gap, lo, hi):
     """Box-constrained stage QP by enumerating every working set.
 
@@ -302,11 +320,7 @@ def enumerated_box_qp(A, B, defects, qs, rs, qlin, rlin, gap, lo, hi):
 
     best = None
     for working in itertools.product((-1, 0, 1), repeat=N * m):
-        held = [j for j, s in enumerate(working) if s != 0]
-        S = np.zeros((len(held), H.shape[0]))
-        S[np.arange(len(held)), [nx + j for j in held]] = 1.0
-        s_val = np.array([hi_flat[j] if working[j] > 0 else lo_flat[j] for j in held])
-        z = solve_dense_kkt(H, g, np.vstack([E, S]), np.concatenate([e, s_val]))
+        z, _ = _held_kkt(H, g, E, e, nx, np.array(working), lo_flat, hi_flat)
         u = z[nx:]
         if np.any(u < lo_flat - 1e-9) or np.any(u > hi_flat + 1e-9):
             continue
@@ -316,6 +330,26 @@ def enumerated_box_qp(A, B, defects, qs, rs, qlin, rlin, gap, lo, hi):
     _, z, working = best
     active = np.array(working, dtype=np.int8).reshape(N, m)
     return z[:nx].reshape(N + 1, n), z[nx:].reshape(N, m), active
+
+
+def held_set_qp(A, B, defects, qs, rs, qlin, rlin, gap, lo, hi, active):
+    """Stage QP with the working set ``active`` held, as one dense KKT system.
+
+    Every control with ``active`` +1 is fixed at ``hi``, with -1 at ``lo``;
+    the rest of :func:`dense_stage_qp` is solved with the equality
+    constraints. Returns (dx, du, mult) with ``mult`` the multiplier of each
+    held control (zero where free): stationarity reads grad + mult = 0, so a
+    control held at its upper bound needs ``mult >= 0`` and one at its
+    lower bound ``mult <= 0``.
+    """
+    N, n, m = B.shape[0], B.shape[1], B.shape[2]
+    H, g, E, e = dense_stage_qp(A, B, defects, qs, rs, qlin, rlin, gap)
+    nx = (N + 1) * n
+    working = np.asarray(active).ravel()
+    z, held_mult = _held_kkt(H, g, E, e, nx, working, lo.ravel(), hi.ravel())
+    mult = np.zeros(N * m)
+    mult[np.flatnonzero(working)] = held_mult
+    return z[:nx].reshape(N + 1, n), z[nx:].reshape(N, m), mult.reshape(N, m)
 
 
 def kkt_residual_loops(A, B, defects, qs, rs, qlin, rlin, gap, lo, hi, dx, du, lam):

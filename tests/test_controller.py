@@ -195,6 +195,17 @@ class TestTick:
         np.testing.assert_allclose(st2.pred.xs, win.xs[: N + 1], atol=1e-9)
         np.testing.assert_allclose(st2.pred.us, win.us[:N], atol=1e-9)
 
+    def test_shift_steps_the_last_state(self):
+        # off hover the tail state differs from the last one, so a shift that repeats it shows
+        cfg = ControllerConfig()
+        win = preset("agg2", dt=cfg.dt).window(40, N + 1)
+        pred = PredictionTrajectory(win.xs, win.us[:N])
+        shifted = controller._shift(pred, cfg.dt, cfg.model)
+        tail = cfg.model.step(pred.xs[-1], pred.us[-1], cfg.dt)
+        assert not np.array_equal(tail, pred.xs[-1])
+        np.testing.assert_array_equal(shifted.xs, np.vstack([pred.xs[1:], tail]))
+        np.testing.assert_array_equal(shifted.us, np.vstack([pred.us[1:], pred.us[-1:]]))
+
 
 class TestWeightUpdate:
     """The adaptive update runs once per tick, after the final round, and never on a fixed-weight tick."""

@@ -1,11 +1,19 @@
 import copy
+import hashlib
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptive_nmpc import transcription
+from adaptive_nmpc import controller, harness, transcription
+from adaptive_nmpc.adaptation import LINEAR_Q_MAX, AdaptConfig
+from adaptive_nmpc.controller import ControllerConfig
 from adaptive_nmpc.dynamics import QUADROTOR, ControlLimits
+from adaptive_nmpc.harness import NoiseConfig
 from adaptive_nmpc.trajectories import ReferenceWindow, preset
 from adaptive_nmpc.transcription import (
     PredictionTrajectory,
@@ -18,10 +26,12 @@ from adaptive_nmpc.transcription import (
     solve_qp,
 )
 from helpers import (
+    SATURATED_BOX,
     LinearModel,
     default_weights,
     dense_equality_qp,
     enumerated_box_qp,
+    held_set_qp,
     hover_control,
     hover_state,
     kkt_residual_loops,
@@ -240,26 +250,53 @@ class TestSolveQp:
             solve_qp(prob)
 
 
-def box_instance(rng, N, tied=False):
+def box_instance(rng, N, tied=False, alpha=1.0):
     """Random stage QP whose box excludes the unconstrained minimizer, so bounds bind.
 
     With ``tied``, controls 1 and 2 act through the same column of ``B`` as
-    control 0, a degenerate instance. Returns the problem and the oracle's
-    arguments (weights unnormalized, box in step coordinates).
+    control 0, a degenerate instance. ``alpha`` scales both linear terms.
+    Returns the problem and the oracle's arguments (weights unnormalized,
+    box in step coordinates).
     """
     A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, N)
     if tied:
         B[:, :, 1] = B[:, :, 2] = B[:, :, 0]
-    _, du_free = dense_equality_qp(A, B, defects, qs, rs, qs * lx, rs * lu, gap)
+    qlin, rlin = alpha * qs * lx, alpha * rs * lu
+    _, du_free = dense_equality_qp(A, B, defects, qs, rs, qlin, rlin, gap)
     width = rng.uniform(0.2, 1.0, 4)
     limits = ControlLimits(c_min=1.0, c_max=1.0 + width[0], omega_min=-0.5 * width[1:], omega_max=0.5 * width[1:])
     # each box sits within one width of the free minimizer; the first one excludes it
     offset = rng.uniform(-1.0, 1.0, (N, 4)) * width
     offset[0, 0] = 1.5 * width[0]
     u_pred = limits.lower - (du_free + offset - 0.5 * width)
-    prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits, u_pred)
-    oracle_args = (A, B, defects, qs, rs, qs * lx, rs * lu, gap, limits.lower - u_pred, limits.upper - u_pred)
+    prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits, u_pred, alpha)
+    oracle_args = (A, B, defects, qs, rs, qlin, rlin, gap, limits.lower - u_pred, limits.upper - u_pred)
     return prob, oracle_args
+
+
+def blas_digest():
+    """sha256 over the solutions of seeded saturated QPs: ``dx``, ``du`` and the residual, bit for bit.
+
+    The QPs are horizon-19 ``agg2`` windows under the ``saturated`` box, from
+    predictions shifted off the reference, a displaced measurement and
+    log-uniform state weights in [0.01, 10]. The reference exceeds the box,
+    so bounds bind and the active-set loop needs several working sets.
+    """
+    rng = np.random.default_rng(16)
+    traj = preset("agg2", dt=DT)
+    N = 19
+    digest = hashlib.sha256()
+    for _ in range(12):
+        win = traj.window(int(rng.integers(0, len(traj) - N - 1)), N + 1)
+        xs = win.xs.copy()
+        xs[:, :6] += 0.05 * rng.standard_normal((N + 1, 6))
+        pred = PredictionTrajectory(xs, win.us[:N] + 0.1 * rng.standard_normal((N, 4)))
+        x_meas = win.xs[0].copy()
+        x_meas[:6] += 0.2 * rng.standard_normal(6)
+        w = WeightVector(10.0 ** rng.uniform(-2.0, 1.0, 10), rng.uniform(0.5, 2.0, 4))
+        sol = solve_qp(build_qp(pred, win, w, x_meas, SATURATED_BOX, 1.0, DT))
+        digest.update(sol.dx.tobytes() + sol.du.tobytes() + np.float64(sol.kkt_residual).tobytes())
+    return digest.hexdigest()
 
 
 class TestBoxQpOracle:
@@ -290,14 +327,14 @@ class TestBoxQpOracle:
         prob, oracle_args = box_instance(np.random.default_rng(seed), N, tied=True)
         dx_o, du_o, _ = enumerated_box_qp(*oracle_args)
         sweeps = []
-        riccati = transcription._riccati_solve
+        working_set = transcription._solve_working_set
 
         def record(*args):
             clamp_val, clamped = args[-2:]
             sweeps.append((clamped.tobytes() + clamp_val.tobytes(), int(clamped.sum())))
-            return riccati(*args)
+            return working_set(*args)
 
-        monkeypatch.setattr(transcription, "_riccati_solve", record)
+        monkeypatch.setattr(transcription, "_solve_working_set", record)
         for start in (None, np.full((N, 4), -1), np.full((N, 4), 1)):
             sweeps.clear()
             sol = solve_qp(prob, active=start)
@@ -311,6 +348,70 @@ class TestBoxQpOracle:
             assert np.abs(sol.dx - dx_o).max() < 1e-9
             assert np.abs(sol.du - du_o).max() < 1e-9
             assert sol.kkt_residual <= 1e-6
+
+    def test_alpha_scales_both_linear_terms(self):
+        # the step fraction alpha multiplies the state and the control reference terms alike
+        rng = np.random.default_rng(50)
+        alpha = 0.5
+        for _ in range(10):
+            A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, 3)
+            sol = solve_qp(shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, alpha=alpha))
+            dx_o, du_o = dense_equality_qp(A, B, defects, qs, rs, alpha * qs * lx, alpha * rs * lu, gap)
+            assert np.abs(sol.dx - dx_o).max() < 1e-8
+            assert np.abs(sol.du - du_o).max() < 1e-8
+        for _ in range(10):
+            prob, oracle_args = box_instance(rng, 1, alpha=alpha)
+            dx_o, du_o, active_o = enumerated_box_qp(*oracle_args)
+            sol = solve_qp(prob)
+            assert np.abs(sol.dx - dx_o).max() < 1e-9
+            assert np.abs(sol.du - du_o).max() < 1e-9
+            np.testing.assert_array_equal(sol.active, active_o)
+            assert sol.kkt_residual <= 1e-6
+
+    def test_capped_state_weights_match_held_set_oracle(self, monkeypatch):
+        # linear weights at lambda 0.01 reach the cap LINEAR_Q_MAX after a noise kick, which spreads
+        # the condensed Hessian's spectrum; each QP solved at the cap must still give the dense KKT
+        # solution of its final working set, with right-sign multipliers and free controls in the box
+        calls = []
+
+        def record(prob, *args, **kwargs):
+            sol = solve_qp(prob, *args, **kwargs)
+            calls.append((prob, sol))
+            return sol
+
+        monkeypatch.setattr(controller, "solve_qp", record)
+        cfg = ControllerConfig(limits=SATURATED_BOX, adapt=AdaptConfig(lam=0.01, variant="linear"))
+        assert harness.run_closed_loop(preset("agg2", dt=cfg.dt), cfg, NoiseConfig(5.0)).failures == 0
+        capped = [(prob, sol) for prob, sol in calls if prob.qs.max() == LINEAR_Q_MAX]
+        assert capped and max(sol.sweeps for _, sol in capped) > 1
+        for prob, sol in capped:
+            assert sol.kkt_residual <= 1e-6
+            scale = max(1.0, float(prob.qs.max()), float(prob.rs.max()))
+            qs, rs = np.maximum(prob.qs, transcription.Q_MIN) / scale, prob.rs / scale
+            lo, hi = SATURATED_BOX.lower - prob.u_pred, SATURATED_BOX.upper - prob.u_pred
+            dx_o, du_o, mult = held_set_qp(
+                prob.A, prob.B, prob.defects, qs, rs, qs * prob.lx, rs * prob.lu, prob.initial_gap, lo, hi, sol.active
+            )
+            assert np.abs(sol.dx - dx_o).max() < 1e-8
+            assert np.abs(sol.du - du_o).max() < 1e-8
+            assert np.all(mult * sol.active >= -1e-8)
+            free = sol.active == 0
+            assert np.all(sol.du[free] >= lo[free] - 1e-9) and np.all(sol.du[free] <= hi[free] + 1e-9)
+
+    def test_results_independent_of_blas_threads(self):
+        # the same QPs solved under one and two BLAS threads give the same bits
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out = subprocess.run(
+                [sys.executable, "-c", "import test_transcription as t; print(t.blas_digest())"],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     def test_start_set_ignored_without_limits(self):
         rng = np.random.default_rng(7)

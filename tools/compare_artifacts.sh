@@ -1,11 +1,14 @@
 #!/bin/sh
 # Compare the CLI proof set of git revision REV with that of the working
-# tree this script sits in:
-#   OUT/parent            REV's tree, extracted with `git archive`;
-#   OUT/parent_artifacts  tools/artifacts.sh of that tree;
-#   OUT/work_artifacts    tools/artifacts.sh of the working tree.
-# Prints `diff -r` of the two proof sets and exits 1 on any difference.
-# It changes no git state: no worktree, branch or checkout. The three
+# tree this script sits in, and the working tree's proof set under one BLAS
+# thread with that under OpenBLAS's default thread count:
+#   OUT/parent                    REV's tree, extracted with `git archive`;
+#   OUT/parent_artifacts          tools/artifacts.sh of that tree;
+#   OUT/work_artifacts            tools/artifacts.sh of the working tree;
+#   OUT/work_artifacts_1thread    the same with OPENBLAS_NUM_THREADS=1.
+# The first three run with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS unset.
+# Prints `diff -r` of each pair and exits 1 on any difference.
+# It changes no git state: no worktree, branch or checkout. The four
 # directories above are replaced on each run.
 #
 # Usage: tools/compare_artifacts.sh REV OUT
@@ -14,18 +17,27 @@ if [ $# -ne 2 ]; then
     echo "usage: $0 REV OUT" >&2
     exit 2
 fi
+unset OPENBLAS_NUM_THREADS OMP_NUM_THREADS
 root=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$2"
 out=$(cd "$2" && pwd)
-rm -rf "$out/parent" "$out/parent_artifacts" "$out/work_artifacts"
+rm -rf "$out/parent" "$out/parent_artifacts" "$out/work_artifacts" "$out/work_artifacts_1thread"
 mkdir "$out/parent"
 git -C "$root" archive "$1" | tar -x -C "$out/parent"
 
 sh "$out/parent/tools/artifacts.sh" "$out/parent_artifacts"
 sh "$root/tools/artifacts.sh" "$out/work_artifacts"
+OPENBLAS_NUM_THREADS=1 sh "$root/tools/artifacts.sh" "$out/work_artifacts_1thread"
 
+status=0
 if diff -r "$out/parent_artifacts" "$out/work_artifacts"; then
     echo "no difference between the proof sets of $1 and the working tree"
 else
-    exit 1
+    status=1
 fi
+if diff -r "$out/work_artifacts" "$out/work_artifacts_1thread"; then
+    echo "no difference between the working tree's proof sets under default and one BLAS thread"
+else
+    status=1
+fi
+exit $status
