@@ -184,6 +184,8 @@ def resolve_config(
     if config_path:
         with open(config_path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON object")
         by_key = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(RunConfig)}
         for key, value in data.items():
             f = by_key.get(key)
@@ -241,10 +243,11 @@ def read_simlog_csv(path: Path) -> tuple[dict, np.ndarray]:
         else:
             fh.seek(0)
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != SIMLOG_COLUMNS:
-            raise ValueError(f"unexpected log CSV header in {path}")
+        if tuple(next(reader, ())) != SIMLOG_COLUMNS:
+            raise ValueError(f"missing or unexpected log CSV header in {path}")
         data = np.array([[float(v) if v else math.nan for v in row] for row in reader])
+    if len(data) == 0:
+        raise ValueError(f"log CSV {path} has no rows")
     return config, data
 
 

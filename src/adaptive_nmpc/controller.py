@@ -29,6 +29,7 @@ from .adaptation import AdaptConfig, compute_v, update_weights
 from .dynamics import QUADROTOR, ControlLimits, QuadrotorModel
 from .trajectories import ReferenceWindow
 from .transcription import (
+    QP_TOL,
     PredictionTrajectory,
     QpSolution,
     QpSolveError,
@@ -61,8 +62,9 @@ class ControllerConfig:
     fixed_weights: WeightVector = benchmark_weights()
     limits: ControlLimits | None = ControlLimits()
     alternations: int = 2
-    qp_tol: float = 1e-6
     model: QuadrotorModel = QUADROTOR
+    #: transcription.QP_TOL, the KKT tolerance every QP is certified against; not a field
+    qp_tol = QP_TOL
 
     def __post_init__(self):
         if self.horizon < 2:
@@ -136,7 +138,7 @@ def nmpc_tick(
     try:
         for _ in range(cfg.alternations):
             prob = build_qp(pred, refs, weights, x_meas, cfg.limits, cfg.alpha, cfg.dt, cfg.model)
-            sol = solve_qp(prob, tol=cfg.qp_tol, active=active)
+            sol = solve_qp(prob, active=active)
             active = sol.active
             pred = apply_step(pred, sol, cfg.alpha, cfg.limits, cfg.model)
             diag.rounds.append(sol)

@@ -104,16 +104,16 @@ class ReferenceTrajectory:
                 writer.writerow([repr(float(v)) for v in (t, *x, *u)])
 
     @classmethod
-    def from_csv(cls, path: str | Path, name: str = "") -> "ReferenceTrajectory":
+    def from_csv(cls, path: str | Path) -> "ReferenceTrajectory":
         with open(path, newline="") as fh:
             reader = csv.reader(row for row in fh if not row.startswith("#"))
-            header = next(reader)
+            header = next(reader, [])
             if tuple(header) != CSV_COLUMNS:
-                raise ValueError(f"unexpected trajectory CSV header {header}")
+                raise ValueError(f"unexpected trajectory CSV header {header} in {path}")
             data = np.array([[float(v) for v in row] for row in reader])
         if data.ndim != 2 or data.shape[0] < 2:
-            raise ValueError("trajectory CSV needs at least 2 data rows")
-        traj = cls(data[:, 0], data[:, 1:11], data[:, 11:15], name or Path(path).stem)
+            raise ValueError(f"trajectory CSV {path} needs at least 2 data rows")
+        traj = cls(data[:, 0], data[:, 1:11], data[:, 11:15], Path(path).stem)
         traj.validate()
         return traj
 

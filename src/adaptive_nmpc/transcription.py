@@ -44,6 +44,9 @@ Q_MIN = 1e-6
 #: Working sets the active-set loop may solve before :func:`solve_qp` gives up.
 QP_MAX_ITER = 200
 
+#: KKT residual of the weight-normalized problem above which :func:`solve_qp` fails.
+QP_TOL = 1e-6
+
 
 class QpSolveError(RuntimeError):
     """QP solve failed; the message says why."""
@@ -243,11 +246,7 @@ def _kkt_residual(
     return float(np.concatenate(parts).max())
 
 
-def solve_qp(
-    prob: ShootingProblem,
-    tol: float = 1e-6,
-    active: np.ndarray | None = None,
-) -> QpSolution:
+def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolution:
     """Solve the stage-wise QP; raises :class:`QpSolveError` on failure.
 
     ``active`` is the working set the active-set loop starts from, an
@@ -261,8 +260,8 @@ def solve_qp(
 
     The reported residual is that of the weight-normalized problem (weights
     divided by their largest entry), which keeps the certificate meaningful
-    when adapted weights grow very large. The minimizer is unaffected by
-    this scaling.
+    when adapted weights grow very large; it must not exceed
+    :data:`QP_TOL`. The minimizer is unaffected by this scaling.
     """
     N = prob.horizon
     A, B, defects = prob.A, prob.B, prob.defects
@@ -321,7 +320,7 @@ def solve_qp(
             for k in range(N - 1, -1, -1):
                 lam[k] += A[k].T @ lam[k + 1]
             res = _kkt_residual(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap, lo, hi, dx, du, lam)
-            if res <= tol:
+            if res <= QP_TOL:
                 return QpSolution(dx, du, res, act, sweeps)
             break
 
@@ -342,7 +341,7 @@ def solve_qp(
     else:
         raise QpSolveError(f"active-set loop did not converge within {QP_MAX_ITER} iterations")
     size, name = max((float(np.abs(arr).max()), name) for name, arr in inputs)
-    raise QpSolveError(f"KKT residual {res:.3e} exceeds tolerance {tol:.1e}; largest QP input |{name}| = {size:.1e}")
+    raise QpSolveError(f"KKT residual {res:.3e} exceeds tolerance {QP_TOL:.1e}; largest QP input |{name}| = {size:.1e}")
 
 
 def apply_step(

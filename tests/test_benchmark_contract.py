@@ -22,6 +22,7 @@ benchmark's dense QP oracle ``checks.check_qp``, which reads each stage through
 per-stage view off the control tick.
 """
 
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adaptive_nmpc
 from adaptive_nmpc import AdaptConfig, ControllerConfig, controller, harness, preset
 from adaptive_nmpc.dynamics import QUADROTOR
 from adaptive_nmpc.transcription import Q_MIN, ShootingProblem
@@ -43,6 +45,12 @@ def run(*args):
     return subprocess.run(
         [sys.executable, *args], cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300
     )
+
+
+def test_root_exports_what_the_benchmark_imports_from_it():
+    # every other name is imported from its module
+    names = {name for name, v in vars(adaptive_nmpc).items() if not (name.startswith("_") or inspect.ismodule(v))}
+    assert names == {"PRESET_NAMES", "preset", "AdaptConfig", "ControllerConfig", "ControlLimits"}
 
 
 def test_selftest_passes():

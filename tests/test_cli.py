@@ -209,6 +209,14 @@ class TestSimulate:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x" / "log.csv").exists()
 
+    def test_empty_trajectory_file_named(self, tmp_path, capsys):
+        traj_path = tmp_path / "empty.csv"
+        traj_path.write_text("")
+        rc = main(["simulate", "--trajectory", f"file:{traj_path}", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unexpected trajectory CSV header [] in {traj_path}\n"
+        assert not (tmp_path / "x" / "log.csv").exists()
+
     def test_file_trajectory_dt_must_match(self, tmp_path, capsys):
         traj_path = tmp_path / "c02.csv"
         preset("circle", dt=0.02).to_csv(traj_path)
@@ -373,6 +381,15 @@ class TestConfigFile:
         assert rc == 1
         assert "unknown config key 'lam'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["simulate"], ["table", "--table", "3"]])
+    @pytest.mark.parametrize("value", [[1, 2], None])
+    def test_non_object_file_rejected(self, tmp_path, capsys, command, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(value))
+        assert main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: config file {cfg_path} must hold a JSON object\n"
+        assert not (tmp_path / "x").exists()
+
     def test_int_accepted_for_float_key(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"lambda": 2, "noise_sigma": 0}))
@@ -454,6 +471,25 @@ class TestPlotdata:
         err = capsys.readouterr().err
         assert str(logs[0]) in err and str(logs[1]) in err
         assert "share both file stem and directory name" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kept, order, message",
+        [
+            (0, "after", "missing or unexpected log CSV header in {}"),
+            (0, "before", "missing or unexpected log CSV header in {}"),
+            (2, "alone", "log CSV {} has no rows"),  # the config line and the header
+        ],
+        ids=["empty-second", "empty-first", "header-only"],
+    )
+    def test_unreadable_log_writes_nothing(self, tmp_path, capsys, kept, order, message):
+        good = random_log_csv(tmp_path / "run" / "log.csv")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(good.read_text().splitlines(True)[:kept]))
+        logs = {"after": [good, bad], "before": [bad, good], "alone": [bad]}[order]
+        out = tmp_path / "plots"
+        assert main(["plotdata", *(a for log in logs for a in ("--log", str(log))), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(bad)}\n")
         assert not out.exists()
 
     def test_missing_input_exit_code(self, tmp_path):

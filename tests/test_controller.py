@@ -18,7 +18,7 @@ from adaptive_nmpc.controller import (
 from adaptive_nmpc.dynamics import GRAVITY, ControlLimits
 from adaptive_nmpc.trajectories import ReferenceWindow, preset
 from adaptive_nmpc.transcription import PredictionTrajectory, WeightVector, build_qp, solve_qp
-from helpers import SATURATED_BOX, LinearModel, dense_equality_qp, hover_control, hover_state, in_box
+from helpers import SATURATED_BOX, hover_control, hover_state, in_box
 
 N = 10
 
@@ -392,42 +392,6 @@ class TestFailurePolicy:
         assert st2.pred is not None
 
 
-class TestLtiTracking:
-    def test_baseline_converges_to_dense_tracking_oracle(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        n, m, horizon = 10, 4, 8
-        model = LinearModel(np.eye(n) + 0.08 * rng.standard_normal((n, n)), 0.4 * rng.standard_normal((n, m)))
-        q = rng.uniform(0.5, 2.0, n)
-        r = rng.uniform(0.5, 2.0, m)
-        ref_xs = 0.5 * rng.standard_normal((horizon + 1, n))
-        ref_us = 0.2 * rng.standard_normal((horizon, m))
-        win = ReferenceWindow(ref_xs, np.vstack([ref_us, ref_us[-1:]]))
-        x0 = rng.standard_normal(n)
-
-        A = np.broadcast_to(model.A, (horizon, n, n))
-        B = np.broadcast_to(model.B, (horizon, n, m))
-        defects = np.stack(
-            [model.step(ref_xs[k], ref_us[k], 0.1) - ref_xs[k + 1] for k in range(horizon)]
-        )
-        qs = np.tile(q, (horizon + 1, 1))
-        rs = np.tile(r, (horizon, 1))
-        dx_o, du_o = dense_equality_qp(A, B, defects, qs, rs, 0 * qs, 0 * rs, x0 - ref_xs[0])
-        u0_oracle = ref_us[0] + du_o[0]
-
-        monkeypatch.setattr(controller, "CONV_TOL", 1e-13)
-        cfg = ControllerConfig(
-            horizon=horizon,
-            dt=0.1,
-            alternations=60,
-            fixed_weights=WeightVector(q, r),
-            limits=None,
-            model=model,
-        )
-        st = init_controller(cfg)
-        cmd, _, _ = baseline_tick(st, x0, win, cfg)
-        assert np.abs(cmd - u0_oracle).max() < 1e-6
-
-
 class TestConfigValidation:
     def test_bad_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -438,6 +402,12 @@ class TestConfigValidation:
             ControllerConfig(alternations=0)
         with pytest.raises(ValueError):
             ControllerConfig(horizon=5, adapt=AdaptConfig(sub_horizon=6))
+
+    def test_qp_tol_is_not_a_setting(self):
+        assert "qp_tol" not in {f.name for f in dataclasses.fields(ControllerConfig)}
+        assert ControllerConfig().qp_tol == transcription.QP_TOL
+        with pytest.raises(TypeError):
+            ControllerConfig(qp_tol=1e-3)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):

@@ -242,6 +242,17 @@ class TestSolveQp:
         sol = solve_qp(prob)
         assert sol.kkt_residual <= 1e-6
 
+    def test_certifies_against_qp_tol(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        prob = shooting_from_arrays(*random_shooting_data(rng, N=4))
+        res = solve_qp(prob).kkt_residual
+        assert 0.0 < res <= 1e-6
+        monkeypatch.setattr(transcription, "QP_TOL", res)
+        assert solve_qp(prob).kkt_residual == res
+        monkeypatch.setattr(transcription, "QP_TOL", res / 2)
+        with pytest.raises(QpSolveError, match=f"exceeds tolerance {res / 2:.1e}"):
+            solve_qp(prob)
+
     def test_invalid_control_weights_raise(self):
         rng = np.random.default_rng(5)
         A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, N=2)

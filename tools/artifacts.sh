@@ -3,7 +3,8 @@
 #   simulate: agg1 fixed, agg1 adaptive exp, diamond adaptive linear
 #             (lambda 0.01), agg2 with noise sigma 2 and seed 3, and a
 #             circle read back from a CSV file written by to_csv;
-#   table:    tables 1, 2 and 3, two runs per cell.
+#   table:    tables 1, 2 and 3, two runs per cell;
+#   plotdata: the agg1 fixed and agg1 exp logs side by side.
 # Every path the commands see is relative to OUT, so two checkouts' outputs
 # compare byte for byte with `diff -r OUT_A OUT_B`. Each command's exit code
 # goes to OUT/exit_codes.txt; a failing command does not stop the rest.
@@ -38,3 +39,4 @@ run circle_file simulate --trajectory file:circle.csv --out circle_file
 for k in 1 2 3; do
     run "table$k" table --table "$k" --runs 2 --out "table$k"
 done
+run plot plotdata --log agg1_fixed/log.csv --log agg1_exp/log.csv --out plots

@@ -3,7 +3,9 @@
 # tree this script sits in, and the working tree's proof set under one BLAS
 # thread with that under OpenBLAS's default thread count:
 #   OUT/parent                    REV's tree, extracted with `git archive`;
-#   OUT/parent_artifacts          tools/artifacts.sh of that tree;
+#   OUT/parent_artifacts          the working tree's tools/artifacts.sh, copied
+#                                 into that tree and run there, so that both
+#                                 sides run the same commands;
 #   OUT/work_artifacts            tools/artifacts.sh of the working tree;
 #   OUT/work_artifacts_1thread    the same with OPENBLAS_NUM_THREADS=1.
 # The first three run with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS unset.
@@ -24,6 +26,8 @@ out=$(cd "$2" && pwd)
 rm -rf "$out/parent" "$out/parent_artifacts" "$out/work_artifacts" "$out/work_artifacts_1thread"
 mkdir "$out/parent"
 git -C "$root" archive "$1" | tar -x -C "$out/parent"
+mkdir -p "$out/parent/tools"
+cp "$root/tools/artifacts.sh" "$out/parent/tools/artifacts.sh"
 
 sh "$out/parent/tools/artifacts.sh" "$out/parent_artifacts"
 sh "$root/tools/artifacts.sh" "$out/work_artifacts"
