@@ -172,7 +172,8 @@ def resolve_config(
     """Apply precedence defaults < config file < explicit flags.
 
     Setting a field in ``unread``, which the command never reads, by flag is a
-    usage error (exit 2) and by config key a ValueError.
+    usage error (exit 2) and by config key a ValueError. A command that reads
+    the sub-horizon rejects one above the horizon.
     """
     for name in sorted(unread):
         if getattr(args, name, None) is not None:
@@ -202,6 +203,8 @@ def resolve_config(
         if flag_val is not None:
             setattr(cfg, f.name, flag_val)
     cfg.validate()
+    if "sub_horizon" not in unread and cfg.sub_horizon > cfg.horizon:
+        raise ValueError(f"sub-horizon {cfg.sub_horizon} exceeds horizon {cfg.horizon}")
     return cfg
 
 
@@ -215,7 +218,11 @@ def _config_header(config: dict) -> str:
 
 
 def _write_csv(path: Path, config: dict, header, rows) -> None:
-    """Every CSV artifact: the ``# config:`` line, the column names, then the rows."""
+    """Every CSV artifact: the ``# config:`` line, the column names, then the rows.
+
+    Every command's first artifact is a CSV, so a command that fails before it leaves no directory behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(_config_header(config) + "\n")
         writer = csv.writer(fh)
@@ -319,16 +326,11 @@ def render_table(results: list[CellResult], columns: list, column_label: str, no
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args, unread=frozenset({"runs"}))
-    # in either mode: a fixed-weight run reads no sub-horizon, but echoes it in its artifacts
-    if cfg.sub_horizon > cfg.horizon:
-        raise ValueError(f"sub_horizon {cfg.sub_horizon} exceeds horizon {cfg.horizon}")
     controller_cfg = cfg.controller_config()
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     traj = cfg.load_trajectory()
-    noise = NoiseConfig(sigma=cfg.noise_sigma) if cfg.noise_sigma > 0 else None
-    log = run_closed_loop(traj, controller_cfg, noise=noise, seed=cfg.seed)
+    log = run_closed_loop(traj, controller_cfg, noise=NoiseConfig(cfg.noise_sigma), seed=cfg.seed)
 
     e = metric_total_error(log)
     tv = metric_tv(log.u_applied)
@@ -363,13 +365,9 @@ def table_grid(table: int, cfg: RunConfig) -> GridSpec:
 def cmd_table(args: argparse.Namespace) -> int:
     spec = TABLES[args.table]
     cfg = resolve_config(args, RunConfig(runs=spec.runs), spec.unread)
-    if spec.sub_horizons is None and cfg.sub_horizon > cfg.horizon:
-        # a table on the config's own sub-horizon would skip every adaptive cell
-        raise ValueError(f"sub-horizon {cfg.sub_horizon} exceeds horizon {cfg.horizon}: no adaptive cell can run")
     base = cfg.controller_config()
     grid = table_grid(args.table, cfg)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     results = run_experiment_grid(grid, base, seed=cfg.seed)
 
     echo = {**cfg.echo(), "table": args.table}
@@ -408,7 +406,6 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
             return 1
 
     out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
     for label, (config, cols) in zip(labels, logs):
         suffix = f"_{label}" if len(logs) > 1 else ""
         for name, columns in PLOT_FILES.items():

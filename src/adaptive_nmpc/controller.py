@@ -43,14 +43,11 @@ from .transcription import (
 CONV_TOL = 1e-4
 
 
-def benchmark_weights() -> WeightVector:
-    """Generic conservative tuning used as the fixed-weight default.
-
-    Position and attitude are tracked with unit weight, velocity errors are
-    damped lightly, and the control weight favors smooth commands. This is
-    the profile the adaptive update is benchmarked against.
-    """
-    return WeightVector((1.0, 1.0, 1.0, 0.3, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0), (5.0, 5.0, 5.0, 5.0))
+#: The fixed-weight profile, and every run's weights before its first tick: a
+#: generic conservative tuning. Position and attitude are tracked with unit
+#: weight, velocity errors are damped lightly, and the control weight favors
+#: smooth commands. This is the profile the adaptive update is benchmarked against.
+FIXED_WEIGHTS = WeightVector((1.0, 1.0, 1.0, 0.3, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0), (5.0, 5.0, 5.0, 5.0))
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,6 @@ class ControllerConfig:
     dt: float = 0.05
     alpha: float = 1.0
     adapt: AdaptConfig | None = None
-    fixed_weights: WeightVector = benchmark_weights()
     limits: ControlLimits | None = ControlLimits()
     alternations: int = 2
     model: QuadrotorModel = QUADROTOR
@@ -83,10 +79,10 @@ class ControllerConfig:
 
 @dataclass
 class ControllerState:
-    """Mutable per-vehicle controller memory between ticks."""
+    """Mutable per-vehicle controller memory between ticks; the defaults are the state before the first tick."""
 
-    pred: PredictionTrajectory | None
-    weights: WeightVector
+    pred: PredictionTrajectory | None = None
+    weights: WeightVector = FIXED_WEIGHTS
     last_command: np.ndarray | None = None
     active: np.ndarray | None = None  # (N, 4) QP working set to start the next tick from
 
@@ -101,11 +97,6 @@ class TickDiagnostics:
     def kkt_residual(self) -> float:
         """Certificate of the command's QP; NaN on a failed tick, whose held command has none."""
         return float("nan") if self.failed or not self.rounds else self.rounds[-1].kkt_residual
-
-
-def init_controller(cfg: ControllerConfig) -> ControllerState:
-    """No prediction yet: the first tick builds it from its reference window."""
-    return ControllerState(pred=None, weights=cfg.fixed_weights)
 
 
 def _shift(pred: PredictionTrajectory, dt: float, model: QuadrotorModel) -> PredictionTrajectory:
@@ -150,7 +141,7 @@ def nmpc_tick(
         held = np.array(state.last_command if state.last_command is not None else refs.us[0], dtype=float)
         command = cfg.limits.clamp(held) if cfg.limits is not None else held
         # prediction is stale after a failed solve: rebuild from refs next tick
-        next_state = ControllerState(pred=None, weights=state.weights, last_command=command)
+        next_state = ControllerState(weights=state.weights, last_command=command)
         return command, next_state, diag
 
     # the weights are updated after the final round only: the command is then

@@ -22,7 +22,7 @@ from itertools import product, repeat
 import numpy as np
 
 from .adaptation import AdaptConfig
-from .controller import ControllerConfig, baseline_tick, init_controller, nmpc_tick
+from .controller import ControllerConfig, ControllerState, baseline_tick, nmpc_tick
 from .dynamics import State
 from .trajectories import ReferenceTrajectory, preset
 
@@ -126,11 +126,11 @@ def run_closed_loop(
 
     # the generator exists only for a noisy run, so a noise-free one never imports numpy.random
     tau = -1
-    if noise is not None:
+    if noise is not None and noise.sigma > 0.0:
         rng = np.random.default_rng(seed)
         tau = int(rng.integers(0, L))
 
-    state = init_controller(cfg)
+    state = ControllerState()
     x_true = np.array(traj.xs[0] if x0 is None else x0, dtype=float)
 
     log = SimLog(
@@ -145,7 +145,7 @@ def run_closed_loop(
 
     for i in range(L):
         x_meas = x_true
-        if i == tau and noise.sigma > 0.0:
+        if i == tau:
             x_meas = inject_noise(State.from_vector(x_true), noise.sigma, rng).as_vector()
         window = traj.window(i, cfg.horizon + 1)
         u, state, diag = tick(state, x_meas, window, cfg)
@@ -208,11 +208,16 @@ class GridSpec:
     trajectories: tuple[str, ...]
     lambdas: tuple[float, ...] = (1.0,)
     horizons: tuple[int, ...] = (19,)
-    sub_horizons: tuple[int | None, ...] = (8,)
+    sub_horizons: tuple[int, ...] = (8,)
     sigmas: tuple[float, ...] = (0.0,)
     variant: str = "exponential"
     runs: int = 1
     gamma: float = 0.0
+
+    def __post_init__(self):
+        for ns in self.sub_horizons:
+            if not isinstance(ns, int) or ns < 1:
+                raise ValueError(f"sub-horizon must be a positive integer, got {ns!r}")
 
     def cells(self) -> list[Cell]:
         out = []
@@ -224,13 +229,6 @@ class GridSpec:
         return out
 
 
-def cell_config(cell: Cell, base: ControllerConfig) -> ControllerConfig:
-    adapt = None
-    if cell.mode == "adaptive":
-        adapt = AdaptConfig(lam=cell.lam, gamma=cell.gamma, sub_horizon=cell.sub_horizon, variant=cell.variant)
-    return replace(base, horizon=cell.horizon, adapt=adapt)
-
-
 def run_cell(cell: Cell, base: ControllerConfig, seed: int = 0) -> CellResult:
     """Run one grid cell; averages metrics over ``cell.runs`` derived seeds.
 
@@ -239,12 +237,14 @@ def run_cell(cell: Cell, base: ControllerConfig, seed: int = 0) -> CellResult:
     if not cell.valid:
         return CellResult(cell, "skipped", message="sub_horizon exceeds horizon")
     try:
-        cfg = cell_config(cell, base)
+        adapt = None
+        if cell.mode == "adaptive":
+            adapt = AdaptConfig(lam=cell.lam, gamma=cell.gamma, sub_horizon=cell.sub_horizon, variant=cell.variant)
+        cfg = replace(base, horizon=cell.horizon, adapt=adapt)
         traj = preset(cell.trajectory, dt=cfg.dt)
         es, tvs = [], []
         for k in range(cell.runs):
-            noise = NoiseConfig(sigma=cell.sigma) if cell.sigma > 0.0 else None
-            log = run_closed_loop(traj, cfg, noise=noise, seed=seed + k)
+            log = run_closed_loop(traj, cfg, noise=NoiseConfig(cell.sigma), seed=seed + k)
             if log.failures:
                 message = (
                     f"run {k}: {log.failures} of {len(log)} ticks failed their QP and held the command; "

@@ -130,7 +130,7 @@ class QpSolution:
     du: np.ndarray  # (N, 4)
     kkt_residual: float
     active: np.ndarray | None = None  # (N, 4) int8 final working set: -1 lower, 0 free, +1 upper
-    sweeps: int = 0  # working sets the active-set loop solved
+    working_sets: int = 0  # working sets the active-set loop solved
 
     @property
     def step_norm(self) -> float:
@@ -299,7 +299,7 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
     seen_sets: set[bytes] = set()
     cycling = False
 
-    for sweeps in range(1, QP_MAX_ITER + 1):
+    for working_sets in range(1, QP_MAX_ITER + 1):
         clamped = act != 0
         at_upper = act > 0
         clamp_val = np.where(at_upper, hi, np.where(clamped, lo, 0.0))
@@ -321,7 +321,7 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
                 lam[k] += A[k].T @ lam[k + 1]
             res = _kkt_residual(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap, lo, hi, dx, du, lam)
             if res <= QP_TOL:
-                return QpSolution(dx, du, res, act, sweeps)
+                return QpSolution(dx, du, res, act, working_sets)
             break
 
         if viol_hi.any() or viol_lo.any():

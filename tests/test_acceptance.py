@@ -12,7 +12,7 @@ import pytest
 
 from adaptive_nmpc import controller
 from adaptive_nmpc.adaptation import AdaptConfig, update_weights_linear
-from adaptive_nmpc.controller import ControllerConfig, baseline_tick, init_controller
+from adaptive_nmpc.controller import ControllerConfig, ControllerState, baseline_tick
 from adaptive_nmpc.dynamics import QUADROTOR, ControlLimits
 from adaptive_nmpc.harness import GridSpec, run_experiment_grid
 from adaptive_nmpc.trajectories import ReferenceWindow
@@ -155,11 +155,8 @@ def test_criterion_baseline_lti_tracking(monkeypatch):
     u0_oracle = ref_us[0] + du_o[0]
 
     monkeypatch.setattr(controller, "CONV_TOL", 1e-13)
-    cfg = ControllerConfig(
-        horizon=horizon, dt=0.1, alternations=60,
-        fixed_weights=WeightVector(q, r), limits=None, model=model,
-    )
-    cmd, _, _ = baseline_tick(init_controller(cfg), x0, win, cfg)
+    cfg = ControllerConfig(horizon=horizon, dt=0.1, alternations=60, limits=None, model=model)
+    cmd, _, _ = baseline_tick(ControllerState(weights=WeightVector(q, r)), x0, win, cfg)
     err = float(np.abs(cmd - u0_oracle).max())
     report("baseline converges to Riccati tracking oracle on LTI toy", err < 1e-6, f"err {err:.2e}")
 

@@ -235,7 +235,7 @@ class TestSimulate:
     def test_sub_horizon_above_horizon_rejected(self, tmp_path, capsys, mode):
         args = ["--mode", mode, "--horizon", "8", "--sub-horizon", "25", "--out", str(tmp_path / "x")]
         assert main(["simulate", *args]) == 1
-        assert capsys.readouterr().err == "error: sub_horizon 25 exceeds horizon 8\n"
+        assert capsys.readouterr().err == "error: sub-horizon 25 exceeds horizon 8\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
@@ -309,6 +309,27 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--mode", "bogus"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("case", ["bad trajectory header", "trajectory dt", "bad worker cap"])
+def test_failure_before_first_artifact_leaves_no_directory(tmp_path, monkeypatch, capsys, case):
+    traj_path = tmp_path / "tr.csv"
+    if case == "bad trajectory header":
+        traj_path.write_text("a,b,c\n")
+        argv = ["simulate", "--trajectory", f"file:{traj_path}"]
+        message = f"unexpected trajectory CSV header ['a', 'b', 'c'] in {traj_path}"
+    elif case == "trajectory dt":
+        preset("circle", dt=0.02).to_csv(traj_path)
+        argv = ["simulate", "--trajectory", f"file:{traj_path}"]
+        message = "trajectory sample time 0.02 differs from the controller dt 0.05"
+    else:
+        monkeypatch.setenv(harness.THREADS_ENV, "abc")
+        monkeypatch.setattr(harness, "run_cell", lambda *args: pytest.fail("a cell ran"))
+        argv = ["table", "--table", "3", "--runs", "1"]
+        message = "ADAPTIVE_NMPC_THREADS must be an integer, got 'abc'"
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 class TestConfigFile:
@@ -646,8 +667,7 @@ class TestTableCommand:
         # Table 3 runs its adaptive rows on the config's own sub-horizon, so every one of them would be skipped
         rc = main(["table", "--table", "3", "--runs", "1", *flags, "--out", str(tmp_path / "t")])
         assert rc == 1
-        message = f"error: sub-horizon {sub_horizon} exceeds horizon {horizon}: no adaptive cell can run"
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: sub-horizon {sub_horizon} exceeds horizon {horizon}\n"
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("table, runs", [(1, 1), (2, 1), (3, 15)])

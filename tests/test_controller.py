@@ -8,11 +8,10 @@ import pytest
 from adaptive_nmpc import controller, harness, transcription
 from adaptive_nmpc.adaptation import EXP_CLAMP, AdaptConfig, update_weights
 from adaptive_nmpc.controller import (
+    FIXED_WEIGHTS,
     ControllerConfig,
     ControllerState,
     baseline_tick,
-    benchmark_weights,
-    init_controller,
     nmpc_tick,
 )
 from adaptive_nmpc.dynamics import GRAVITY, ControlLimits
@@ -43,13 +42,18 @@ def record_builds(monkeypatch):
 
 
 class TestFirstTick:
-    """``init_controller`` holds no prediction: the first tick builds it from its window."""
+    """``ControllerState()`` holds no prediction: the first tick builds it from its window."""
+
+    def test_default_state_is_the_state_before_the_first_tick(self):
+        st = ControllerState()
+        assert st.pred is None and st.last_command is None and st.active is None
+        assert st.weights is FIXED_WEIGHTS
 
     def test_prediction_matches_window(self, monkeypatch):
         calls = record_builds(monkeypatch)
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N)
-        nmpc_tick(init_controller(cfg), win.xs[0], win, cfg)
+        nmpc_tick(ControllerState(), win.xs[0], win, cfg)
         pred, _ = calls[0]
         np.testing.assert_array_equal(pred.xs, win.xs[: N + 1])
         np.testing.assert_array_equal(pred.us, win.us[:N])
@@ -58,7 +62,7 @@ class TestFirstTick:
         calls = record_builds(monkeypatch)
         win = hover_window(N + 1)
         cfg = ControllerConfig(horizon=N)
-        nmpc_tick(init_controller(cfg), win.xs[0], win, cfg)
+        nmpc_tick(ControllerState(), win.xs[0], win, cfg)
         _, prob = calls[0]
         assert np.abs(prob.lx).max() == 0.0
         assert np.abs(prob.initial_gap).max() == 0.0
@@ -66,8 +70,11 @@ class TestFirstTick:
 
     def test_preserves_fixed_weights_exactly(self):
         w = WeightVector(np.arange(1.0, 11.0), np.array([1.0, 2.0, 3.0, 4.0]))
-        st = init_controller(ControllerConfig(horizon=N, fixed_weights=w))
-        assert st.pred is None
+        win = hover_window(N + 2)
+        x_meas = win.xs[0].copy()
+        x_meas[0] += 0.5
+        _, st, diag = baseline_tick(ControllerState(weights=w), x_meas, win, ControllerConfig(horizon=N))
+        assert not diag.failed and st.pred is not None
         np.testing.assert_array_equal(st.weights.q, w.q)
         np.testing.assert_array_equal(st.weights.r, w.r)
 
@@ -77,7 +84,7 @@ class TestFirstTick:
         for name in ("agg1", "agg2", "circle", "diamond"):
             traj = preset(name, dt=cfg.dt)
             win = traj.window(0, cfg.horizon + 1)
-            nmpc_tick(init_controller(cfg), traj.xs[0], win, cfg)
+            nmpc_tick(ControllerState(), traj.xs[0], win, cfg)
             pred, _ = calls[0]
             calls.clear()
             assert in_box(cfg.limits, pred.us)
@@ -86,14 +93,14 @@ class TestFirstTick:
         cfg = ControllerConfig(horizon=N)
         win = hover_window(N)
         with pytest.raises(ValueError, match="too short for horizon"):
-            nmpc_tick(init_controller(cfg), win.xs[0], win, cfg)
+            nmpc_tick(ControllerState(), win.xs[0], win, cfg)
 
 
 class TestTick:
     def test_perfect_hover_returns_reference_control(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
-        st = init_controller(cfg)
+        st = ControllerState()
         cmd, st2, diag = nmpc_tick(st, win.xs[0], win, cfg)
         assert abs(cmd[0] - GRAVITY) < 1e-6
         np.testing.assert_allclose(cmd[1:], 0.0, atol=1e-6)
@@ -104,15 +111,15 @@ class TestTick:
         x_meas = win.xs[0].copy()
         x_meas[1] -= 0.2
         cfg_none = ControllerConfig(horizon=N, adapt=None)
-        cmd_a, _, _ = nmpc_tick(init_controller(cfg_none), x_meas, win, cfg_none)
+        cmd_a, _, _ = nmpc_tick(ControllerState(), x_meas, win, cfg_none)
         cfg_b = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
-        cmd_b, _, _ = baseline_tick(init_controller(cfg_b), x_meas, win, cfg_b)
+        cmd_b, _, _ = baseline_tick(ControllerState(), x_meas, win, cfg_b)
         np.testing.assert_array_equal(cmd_a, cmd_b)
 
     def test_offset_boosts_matching_weight_dimension(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=1)
-        st = init_controller(cfg)
+        st = ControllerState()
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1
         cmd, st2, diag = nmpc_tick(st, x_meas, win, cfg)
@@ -146,7 +153,7 @@ class TestTick:
         cfg = ControllerConfig(horizon=N, adapt=adapt)
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1
-        _, st2, diag = nmpc_tick(init_controller(cfg), x_meas, win, cfg)
+        _, st2, diag = nmpc_tick(ControllerState(), x_meas, win, cfg)
         expected = np.array([max(v / 1.5, 0.0) for v in v_sum])
         np.testing.assert_array_equal(st2.weights.q, expected)
         assert not diag.failed
@@ -158,7 +165,7 @@ class TestTick:
         x_meas[2] += 0.3
         outs = []
         for _ in range(2):
-            st = init_controller(cfg)
+            st = ControllerState()
             cmd, st2, diag = nmpc_tick(st, x_meas, win, cfg)
             outs.append((cmd, st2.pred.xs.copy(), st2.weights.q))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
@@ -169,7 +176,7 @@ class TestTick:
         win = hover_window(N + 2)
         lim = ControlLimits(c_min=1.0, c_max=15.0, omega_min=-2.0, omega_max=2.0)
         cfg = ControllerConfig(horizon=N, limits=lim, adapt=AdaptConfig(lam=0.1, sub_horizon=5))
-        st = init_controller(cfg)
+        st = ControllerState()
         x_meas = win.xs[0].copy()
         x_meas[0:3] += [5.0, -4.0, 3.0]
         cmd, _, _ = nmpc_tick(st, x_meas, win, cfg)
@@ -178,7 +185,7 @@ class TestTick:
     def test_baseline_weights_bit_identical(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N)
-        st = init_controller(cfg)
+        st = ControllerState()
         q_before = st.weights.q  # a tuple: ticks replace weights, never write into them
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.5
@@ -189,7 +196,7 @@ class TestTick:
     def test_warm_start_shift(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N)
-        st = init_controller(cfg)
+        st = ControllerState()
         cmd, st2, _ = baseline_tick(st, win.xs[0], win, cfg)
         # hover is a fixed point: shifted prediction equals the hover window
         np.testing.assert_allclose(st2.pred.xs, win.xs[: N + 1], atol=1e-9)
@@ -225,7 +232,7 @@ class TestWeightUpdate:
         calls = self.count_updates(monkeypatch)
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=3)
-        _, _, diag = nmpc_tick(init_controller(cfg), win.xs[0], win, cfg)
+        _, _, diag = nmpc_tick(ControllerState(), win.xs[0], win, cfg)
         assert len(diag.rounds) == 1  # hover is a fixed point: the first step is below CONV_TOL
         assert len(calls) == 1
 
@@ -236,7 +243,7 @@ class TestWeightUpdate:
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=3)
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1
-        st = init_controller(cfg)
+        st = ControllerState()
         for _ in range(2):
             _, st, diag = nmpc_tick(st, x_meas, win, cfg)
             assert len(diag.rounds) == cfg.alternations
@@ -249,8 +256,8 @@ class TestWeightUpdate:
         x_meas[0] += 0.1
         adaptive = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
         fixed = ControllerConfig(horizon=N)
-        baseline_tick(init_controller(adaptive), x_meas, win, adaptive)
-        nmpc_tick(init_controller(fixed), x_meas, win, fixed)
+        baseline_tick(ControllerState(), x_meas, win, adaptive)
+        nmpc_tick(ControllerState(), x_meas, win, fixed)
         assert calls == []
 
 
@@ -275,8 +282,8 @@ class TestWarmStart:
         warm = cold = 0
         for prob, start, sol in calls:
             ref = solve_qp(prob)
-            warm += sol.sweeps
-            cold += ref.sweeps
+            warm += sol.working_sets
+            cold += ref.working_sets
             np.testing.assert_array_equal(sol.dx, ref.dx)
             np.testing.assert_array_equal(sol.du, ref.du)
             np.testing.assert_array_equal(sol.active, ref.active)
@@ -287,7 +294,7 @@ class TestWarmStart:
         calls = record_solves(monkeypatch)
         cfg = ControllerConfig(limits=SATURATED_BOX)
         traj = preset("agg1", dt=cfg.dt)
-        st = init_controller(cfg)
+        st = ControllerState()
         x = traj.xs[0]
         for i in range(5):
             cmd, st, diag = nmpc_tick(st, x, traj.window(i, cfg.horizon + 1), cfg)
@@ -312,7 +319,7 @@ class TestWarmStart:
         monkeypatch.setattr(harness, "nmpc_tick", tick)
         cfg = ControllerConfig(adapt=AdaptConfig(lam=1.0, sub_horizon=8))
         harness.run_closed_loop(preset(name, dt=cfg.dt), cfg)
-        assert rounds and all(r.sweeps == 1 for r in rounds)
+        assert rounds and all(r.working_sets == 1 for r in rounds)
 
 
 class TestFailurePolicy:
@@ -330,7 +337,7 @@ class TestFailurePolicy:
     def test_qp_failure_holds_previous_command(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, model=self.BrokenModel())
-        st = init_controller(cfg)
+        st = ControllerState()
         st.last_command = np.array([12.0, 0.1, 0.2, 0.3])
         cmd, st2, diag = nmpc_tick(st, win.xs[0], win, cfg)
         assert diag.failed
@@ -341,7 +348,7 @@ class TestFailurePolicy:
     def test_qp_failure_without_history_falls_back_to_reference(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, model=self.BrokenModel())
-        st = init_controller(cfg)
+        st = ControllerState()
         cmd, _, diag = nmpc_tick(st, win.xs[0], win, cfg)
         assert diag.failed
         np.testing.assert_array_equal(cmd, win.us[0])
@@ -350,7 +357,7 @@ class TestFailurePolicy:
     def test_non_finite_measurement_holds_clamped_command(self, bad):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
-        st = init_controller(cfg)
+        st = ControllerState()
         st.last_command = np.array([30.0, 0.1, -0.2, 6.0])  # outside the default box
         x_meas = win.xs[0].copy()
         x_meas[0] = bad
@@ -370,7 +377,7 @@ class TestFailurePolicy:
         traj = preset("agg1")
         cfg = ControllerConfig(limits=SATURATED_BOX)
         refs = traj.window(0, cfg.horizon + 1)
-        cmd, st2, diag = nmpc_tick(init_controller(cfg), traj.xs[0], refs, cfg)
+        cmd, st2, diag = nmpc_tick(ControllerState(), traj.xs[0], refs, cfg)
         assert diag.failed
         np.testing.assert_array_equal(cmd, SATURATED_BOX.clamp(refs.us[0]))
         assert np.isnan(diag.kkt_residual)  # the held command has no certificate
@@ -386,7 +393,7 @@ class TestFailurePolicy:
     def test_recovery_rebuilds_prediction(self):
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N)
-        st = ControllerState(pred=None, weights=benchmark_weights(), last_command=None)
+        st = ControllerState()
         cmd, st2, diag = nmpc_tick(st, win.xs[0], win, cfg)
         assert not diag.failed
         assert st2.pred is not None
@@ -402,6 +409,12 @@ class TestConfigValidation:
             ControllerConfig(alternations=0)
         with pytest.raises(ValueError):
             ControllerConfig(horizon=5, adapt=AdaptConfig(sub_horizon=6))
+
+    def test_fixed_weights_is_not_a_setting(self):
+        # the start weights are the state's: ControllerState().weights is FIXED_WEIGHTS
+        assert "fixed_weights" not in {f.name for f in dataclasses.fields(ControllerConfig)}
+        with pytest.raises(TypeError):
+            ControllerConfig(fixed_weights=FIXED_WEIGHTS)
 
     def test_qp_tol_is_not_a_setting(self):
         assert "qp_tol" not in {f.name for f in dataclasses.fields(ControllerConfig)}
@@ -419,8 +432,7 @@ class TestConfigValidation:
 class TestConfigValue:
     @pytest.mark.parametrize("adapt", [None, AdaptConfig(lam=0.1, sub_horizon=5, variant="linear")])
     def test_equal_after_pickle_and_deepcopy(self, adapt):
-        w = WeightVector(np.arange(1.0, 11.0), np.ones(4))
-        cfg = ControllerConfig(horizon=N, adapt=adapt, fixed_weights=w, limits=SATURATED_BOX)
+        cfg = ControllerConfig(horizon=N, adapt=adapt, limits=SATURATED_BOX)
         for twin in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
             assert twin == cfg and hash(twin) == hash(cfg)
         assert ControllerConfig(adapt=adapt) == ControllerConfig(adapt=adapt)

@@ -99,6 +99,14 @@ class TestClosedLoop:
         np.testing.assert_array_equal(log_a.x_true, log_b.x_true)
         np.testing.assert_array_equal(log_a.u_applied, log_b.u_applied)
 
+    def test_sigma_zero_builds_no_generator(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a sigma-0 run built a noise generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        log = run_closed_loop(preset("circle"), ControllerConfig(horizon=8), noise=NoiseConfig(0.0), seed=5)
+        np.testing.assert_array_equal(log.x_meas, log.x_true)
+
     def test_reproducible_under_fixed_seed(self):
         traj = preset("agg1")
         cfg = ControllerConfig(adapt=AdaptConfig())
@@ -260,6 +268,11 @@ class TestGrid:
         assert all(c.lam is None and c.sub_horizon is None for c in fixed)
         unique = {c for c in cells}
         assert len(unique) == 4 * 4 * 3 + 4 * 1  # adaptive cells + fixed rows
+
+    @pytest.mark.parametrize("bad", [None, 0, -3, 2.0, "8"])
+    def test_bad_sub_horizon_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"sub-horizon must be a positive integer, got {bad!r}"):
+            GridSpec(trajectories=("circle",), sub_horizons=(bad, 4))
 
     def test_skip_rule(self):
         cell = Cell("circle", "adaptive", lam=1.0, horizon=8, sub_horizon=14)

@@ -328,7 +328,7 @@ class TestBoxQpOracle:
                 assert np.abs(sol.du - du_o).max() < 1e-9
                 np.testing.assert_array_equal(sol.active, active_o)
                 assert sol.kkt_residual <= 1e-6
-            assert solve_qp(prob, active=active_o).sweeps == 1
+            assert solve_qp(prob, active=active_o).working_sets == 1
 
     @pytest.mark.parametrize("N, seed", [(1, 2086), (2, 1592)])
     def test_cycling_falls_back_to_single_release(self, N, seed, monkeypatch):
@@ -337,19 +337,19 @@ class TestBoxQpOracle:
         # set comes back; from then on the loop releases one control at a time
         prob, oracle_args = box_instance(np.random.default_rng(seed), N, tied=True)
         dx_o, du_o, _ = enumerated_box_qp(*oracle_args)
-        sweeps = []
+        solves = []
         working_set = transcription._solve_working_set
 
         def record(*args):
             clamp_val, clamped = args[-2:]
-            sweeps.append((clamped.tobytes() + clamp_val.tobytes(), int(clamped.sum())))
+            solves.append((clamped.tobytes() + clamp_val.tobytes(), int(clamped.sum())))
             return working_set(*args)
 
         monkeypatch.setattr(transcription, "_solve_working_set", record)
         for start in (None, np.full((N, 4), -1), np.full((N, 4), 1)):
-            sweeps.clear()
+            solves.clear()
             sol = solve_qp(prob, active=start)
-            sets, held = zip(*sweeps)
+            sets, held = zip(*solves)
             again = next(j for j in range(len(sets)) if sets[j] in sets[:j])
             # a step either adds violated bounds or releases; releases show as drops in the held count
             drops = [(j, held[j] - held[j + 1]) for j in range(len(held) - 1) if held[j + 1] < held[j]]
@@ -394,7 +394,7 @@ class TestBoxQpOracle:
         cfg = ControllerConfig(limits=SATURATED_BOX, adapt=AdaptConfig(lam=0.01, variant="linear"))
         assert harness.run_closed_loop(preset("agg2", dt=cfg.dt), cfg, NoiseConfig(5.0)).failures == 0
         capped = [(prob, sol) for prob, sol in calls if prob.qs.max() == LINEAR_Q_MAX]
-        assert capped and max(sol.sweeps for _, sol in capped) > 1
+        assert capped and max(sol.working_sets for _, sol in capped) > 1
         for prob, sol in capped:
             assert sol.kkt_residual <= 1e-6
             scale = max(1.0, float(prob.qs.max()), float(prob.rs.max()))
@@ -432,7 +432,7 @@ class TestBoxQpOracle:
         warm = solve_qp(prob, active=np.ones((3, 4), dtype=np.int8))
         np.testing.assert_array_equal(warm.du, cold.du)
         np.testing.assert_array_equal(warm.active, np.zeros((3, 4)))
-        assert warm.sweeps == cold.sweeps == 1
+        assert warm.working_sets == cold.working_sets == 1
 
     def test_malformed_start_set_rejected(self):
         prob, _ = box_instance(np.random.default_rng(8), N=2)
