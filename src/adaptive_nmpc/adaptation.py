@@ -5,10 +5,10 @@ After each prediction step the per-dimension error products
     v_k = (dx_k + alpha * l_k) (.) dx_k
 
 are accumulated over the sub-horizon and mapped to new diagonal state
-weights. The plain linear form ``q = sum(v) / (2*lam + gamma)`` is the
-exact minimizer of ``lam q'q - sum(v)'q`` (the controller clips it at
-zero so the weight matrix stays positive semidefinite), capped above at
-:data:`LINEAR_Q_MAX`; the exponential form ``q = exp(sum(v) / (2*lam + gamma))``,
+weights. The plain linear form ``q = sum(v) / (2*lam)`` is the exact
+minimizer of ``lam q'q - sum(v)'q`` (the controller clips it at zero so
+the weight matrix stays positive semidefinite), capped above at
+:data:`LINEAR_Q_MAX`; the exponential form ``q = exp(sum(v) / (2*lam))``,
 its exponent capped at :data:`EXP_CLAMP`, is the variant used by the
 benchmark defaults (neutral all-ones weights under perfect tracking).
 """
@@ -42,23 +42,16 @@ class AdaptConfig:
     """Parameters of the weight update."""
 
     lam: float = 1.0
-    gamma: float = 0.0
     sub_horizon: int = 8
     variant: str = "exponential"
 
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
         if self.sub_horizon < 1:
             raise ValueError(f"sub_horizon must be >= 1, got {self.sub_horizon}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-
-    @property
-    def denom(self) -> float:
-        return 2.0 * self.lam + self.gamma
 
 
 def compute_v(dx_k: np.ndarray, l_k_state: np.ndarray, alpha: float) -> np.ndarray:
@@ -70,19 +63,13 @@ def compute_v(dx_k: np.ndarray, l_k_state: np.ndarray, alpha: float) -> np.ndarr
     return (dx_k + alpha * l_k_state) * dx_k
 
 
-def update_weights_linear(v_sum, cfg: AdaptConfig) -> np.ndarray:
-    """Closed-form minimizer of the weight objective, capped at :data:`LINEAR_Q_MAX`."""
-    return np.minimum(np.asarray(v_sum, dtype=float) / cfg.denom, LINEAR_Q_MAX)
-
-
-def update_weights_exp(v_sum, cfg: AdaptConfig) -> np.ndarray:
-    """Exponential weight map with its argument clamped at :data:`EXP_CLAMP`; always positive."""
-    arg = np.minimum(np.asarray(v_sum, dtype=float) / cfg.denom, EXP_CLAMP)
-    return np.exp(arg)
-
-
 def update_weights(v_sum, cfg: AdaptConfig) -> np.ndarray:
-    """Dispatch on the configured variant."""
+    """The configured variant's map of ``v_sum / (2*lam)``.
+
+    Linear: capped at :data:`LINEAR_Q_MAX`. Exponential: its exponent capped
+    at :data:`EXP_CLAMP`, so always positive.
+    """
+    arg = np.asarray(v_sum, dtype=float) / (2.0 * cfg.lam)
     if cfg.variant == "exponential":
-        return update_weights_exp(v_sum, cfg)
-    return update_weights_linear(v_sum, cfg)
+        return np.exp(np.minimum(arg, EXP_CLAMP))
+    return np.minimum(arg, LINEAR_Q_MAX)

@@ -112,7 +112,6 @@ class RunConfig:
     mode: str = "fixed"
     variant: str = "exp"
     lam: float = 1.0
-    gamma: float = 0.0
     horizon: int = 19
     sub_horizon: int = 8
     alpha: float = 1.0
@@ -139,19 +138,15 @@ class RunConfig:
             raise ValueError("runs must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.controller_config()  # the controller's own checks: horizon, dt, alpha, lambda, sub-horizon >= 1
 
     def echo(self) -> dict:
         # the destination path is not part of the experiment definition
         return {_FIELD_KEYS.get(k, k): v for k, v in asdict(self).items() if k != "out"}
 
     def controller_config(self) -> ControllerConfig:
-        # built whatever the mode, so that a bad lambda, gamma or sub-horizon fails before any run
-        adapt = AdaptConfig(
-            lam=self.lam,
-            gamma=self.gamma,
-            sub_horizon=self.sub_horizon,
-            variant=_VARIANT_CLI_TO_INTERNAL[self.variant],
-        )
+        # built whatever the mode, so that a bad lambda or sub-horizon fails before any run
+        adapt = AdaptConfig(lam=self.lam, sub_horizon=self.sub_horizon, variant=_VARIANT_CLI_TO_INTERNAL[self.variant])
         return ControllerConfig(
             horizon=self.horizon,
             dt=self.dt,
@@ -173,7 +168,8 @@ def resolve_config(
 
     Setting a field in ``unread``, which the command never reads, by flag is a
     usage error (exit 2) and by config key a ValueError. A command that reads
-    the sub-horizon rejects one above the horizon.
+    the sub-horizon rejects one above the horizon, once every field has passed
+    its own check: a horizon of 1 is blamed on the horizon, not on the sub-horizon.
     """
     for name in sorted(unread):
         if getattr(args, name, None) is not None:
@@ -359,7 +355,7 @@ def table_grid(table: int, cfg: RunConfig) -> GridSpec:
     spec = TABLES[table]
     axes = {"lambdas": (cfg.lam,), "horizons": (cfg.horizon,)} | {_SWEEP_AXES[spec.field][0]: spec.values}
     return GridSpec(tuple(PRESET_NAMES), sub_horizons=spec.sub_horizons or (cfg.sub_horizon,),
-                    variant=_VARIANT_CLI_TO_INTERNAL[cfg.variant], runs=cfg.runs, gamma=cfg.gamma, **axes)
+                    variant=_VARIANT_CLI_TO_INTERNAL[cfg.variant], runs=cfg.runs, **axes)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -432,7 +428,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (defaults < file < flags)")
     p.add_argument("--variant", choices=sorted(_VARIANT_CLI_TO_INTERNAL))
     p.add_argument("--lambda", dest="lam", type=float, help="weight-update regularization strength")
-    p.add_argument("--gamma", type=float)
     p.add_argument("--horizon", type=int)
     p.add_argument("--sub-horizon", dest="sub_horizon", type=int)
     p.add_argument("--alpha", type=float)

@@ -72,9 +72,7 @@ class ControllerConfig:
         if self.alternations < 1:
             raise ValueError(f"alternations must be >= 1, got {self.alternations}")
         if self.adapt is not None and self.adapt.sub_horizon > self.horizon:
-            raise ValueError(
-                f"sub_horizon {self.adapt.sub_horizon} exceeds horizon {self.horizon}"
-            )
+            raise ValueError(f"sub-horizon {self.adapt.sub_horizon} exceeds horizon {self.horizon}")
 
 
 @dataclass

@@ -181,7 +181,6 @@ class Cell:
     sigma: float = 0.0
     variant: str = "exponential"
     runs: int = 1
-    gamma: float = 0.0
 
     @property
     def valid(self) -> bool:
@@ -212,7 +211,6 @@ class GridSpec:
     sigmas: tuple[float, ...] = (0.0,)
     variant: str = "exponential"
     runs: int = 1
-    gamma: float = 0.0
 
     def __post_init__(self):
         for ns in self.sub_horizons:
@@ -225,7 +223,7 @@ class GridSpec:
             fixed = mode == "fixed"
             sub_horizons = (None,) if fixed else self.sub_horizons
             for lam, nh, ns, sig in product(self.lambdas, self.horizons, sub_horizons, self.sigmas):
-                out.append(Cell(traj, mode, None if fixed else lam, nh, ns, sig, self.variant, self.runs, self.gamma))
+                out.append(Cell(traj, mode, None if fixed else lam, nh, ns, sig, self.variant, self.runs))
         return out
 
 
@@ -239,7 +237,7 @@ def run_cell(cell: Cell, base: ControllerConfig, seed: int = 0) -> CellResult:
     try:
         adapt = None
         if cell.mode == "adaptive":
-            adapt = AdaptConfig(lam=cell.lam, gamma=cell.gamma, sub_horizon=cell.sub_horizon, variant=cell.variant)
+            adapt = AdaptConfig(lam=cell.lam, sub_horizon=cell.sub_horizon, variant=cell.variant)
         cfg = replace(base, horizon=cell.horizon, adapt=adapt)
         traj = preset(cell.trajectory, dt=cfg.dt)
         es, tvs = [], []

@@ -255,8 +255,9 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
     ignored when the problem has no limits. The clamp values always come
     from the problem's own box. The solution carries the final working set
     and the number of working sets the loop solved, at most
-    :data:`QP_MAX_ITER`. When the certificate fails, the error names the
-    largest-magnitude input as well, so a huge measurement shows as a huge gap.
+    :data:`QP_MAX_ITER`. When the certificate fails or the loop does not
+    converge, the error names the largest-magnitude input as well, so a huge
+    measurement shows as a huge gap.
 
     The reported residual is that of the weight-normalized problem (weights
     divided by their largest entry), which keeps the certificate meaningful
@@ -295,7 +296,6 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
     G, H, g = _condense(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap)
 
     dual_tol = 1e-10
-    res = float("nan")
     seen_sets: set[bytes] = set()
     cycling = False
 
@@ -322,6 +322,7 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
             res = _kkt_residual(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap, lo, hi, dx, du, lam)
             if res <= QP_TOL:
                 return QpSolution(dx, du, res, act, working_sets)
+            failure = f"KKT residual {res:.3e} exceeds tolerance {QP_TOL:.1e}"
             break
 
         if viol_hi.any() or viol_lo.any():
@@ -339,9 +340,9 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
             cycling = True
         seen_sets.add(sig)
     else:
-        raise QpSolveError(f"active-set loop did not converge within {QP_MAX_ITER} iterations")
+        failure = f"active-set loop did not converge within {QP_MAX_ITER} iterations"
     size, name = max((float(np.abs(arr).max()), name) for name, arr in inputs)
-    raise QpSolveError(f"KKT residual {res:.3e} exceeds tolerance {QP_TOL:.1e}; largest QP input |{name}| = {size:.1e}")
+    raise QpSolveError(f"{failure}; largest QP input |{name}| = {size:.1e}")
 
 
 def apply_step(

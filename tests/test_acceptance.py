@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from adaptive_nmpc import controller
-from adaptive_nmpc.adaptation import AdaptConfig, update_weights_linear
+from adaptive_nmpc.adaptation import AdaptConfig, update_weights
 from adaptive_nmpc.controller import ControllerConfig, ControllerState, baseline_tick
 from adaptive_nmpc.dynamics import QUADROTOR, ControlLimits
 from adaptive_nmpc.harness import GridSpec, run_experiment_grid
@@ -41,12 +41,12 @@ def report(label: str, ok: bool, detail: str = "") -> None:
 def test_criterion_closed_form_weight_update():
     rng = np.random.default_rng(2024)
     lam = 1.3
-    cfg = AdaptConfig(lam=lam, gamma=0.0, variant="linear")
+    cfg = AdaptConfig(lam=lam, variant="linear")
     t0 = time.time()
     worst = 0.0
     for _ in range(100):
         v = 4.0 * rng.standard_normal(10)
-        q = update_weights_linear(v, cfg)
+        q = update_weights(v, cfg)
         for i in range(10):
             q_num = minimize_scalar_convex(lambda t, vi=v[i]: lam * t * t - vi * t, -20.0, 20.0)
             worst = max(worst, abs(q[i] - q_num))

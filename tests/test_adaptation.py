@@ -7,8 +7,6 @@ from adaptive_nmpc.adaptation import (
     AdaptConfig,
     compute_v,
     update_weights,
-    update_weights_exp,
-    update_weights_linear,
 )
 from helpers import minimize_scalar_convex
 
@@ -18,16 +16,11 @@ class TestAdaptConfig:
         with pytest.raises(ValueError):
             AdaptConfig(lam=0.0)
         with pytest.raises(ValueError):
-            AdaptConfig(gamma=-1.0)
-        with pytest.raises(ValueError):
             AdaptConfig(sub_horizon=0)
         with pytest.raises(ValueError):
             AdaptConfig(variant="quadratic")
         with pytest.raises(ValueError):
             AdaptConfig(variant="linear_projected")
-
-    def test_denominator(self):
-        assert AdaptConfig(lam=0.5, gamma=1.0).denom == 2.0
 
 
 class TestComputeV:
@@ -58,13 +51,13 @@ class TestComputeV:
 
 class TestLinearUpdate:
     def test_zero_aggregate(self):
-        q = update_weights_linear(np.zeros(10), AdaptConfig(lam=1.0, variant="linear"))
+        q = update_weights(np.zeros(10), AdaptConfig(lam=1.0, variant="linear"))
         assert np.array_equal(q, np.zeros(10))
 
     def test_simple_arithmetic(self):
         v = np.zeros(10)
         v[0], v[1] = 2.0, 4.0
-        q = update_weights_linear(v, AdaptConfig(lam=0.5, gamma=0.0, variant="linear"))
+        q = update_weights(v, AdaptConfig(lam=0.5, variant="linear"))
         assert q[0] == 2.0 and q[1] == 4.0
 
     def test_matches_numeric_minimizer(self):
@@ -75,7 +68,7 @@ class TestLinearUpdate:
         cfg = AdaptConfig(lam=lam, variant="linear")
         for _ in range(20):
             v = 3.0 * rng.standard_normal(10)
-            q = update_weights_linear(v, cfg)
+            q = update_weights(v, cfg)
             for i in range(10):
                 qi = minimize_scalar_convex(lambda t: lam * t * t - v[i] * t, -10.0, 10.0)
                 assert abs(q[i] - qi) < 1e-8
@@ -84,7 +77,7 @@ class TestLinearUpdate:
         cfg = AdaptConfig(lam=0.5, variant="linear")
         # lam = 0.5 makes the uncapped weight equal to v
         v = np.array([0.0, 1.0, 9.9e3, LINEAR_Q_MAX, 1.1e4, 1e300, np.inf, -5.0, -1e300, 0.5])
-        assert np.array_equal(update_weights_linear(v, cfg), np.minimum(v, LINEAR_Q_MAX))
+        assert np.array_equal(update_weights(v, cfg), np.minimum(v, LINEAR_Q_MAX))
 
     def test_stationarity_of_unprojected_minimizer(self):
         rng = np.random.default_rng(2)
@@ -92,27 +85,27 @@ class TestLinearUpdate:
         cfg = AdaptConfig(lam=lam, variant="linear")
         for _ in range(50):
             v = rng.standard_normal(10)
-            q = update_weights_linear(v, cfg)
+            q = update_weights(v, cfg)
             assert np.abs(2 * lam * q - v).max() < 1e-10
 
 
 class TestExpUpdate:
     def test_zero_gives_neutral_ones(self):
-        q = update_weights_exp(np.zeros(10), AdaptConfig(lam=1.0))
+        q = update_weights(np.zeros(10), AdaptConfig(lam=1.0, variant="exponential"))
         assert np.array_equal(q, np.ones(10))
 
     def test_monotone_decreasing_in_lambda(self):
         v = np.full(10, 2.0)
-        q1 = update_weights_exp(v, AdaptConfig(lam=0.5))
-        q2 = update_weights_exp(v, AdaptConfig(lam=2.0))
+        q1 = update_weights(v, AdaptConfig(lam=0.5, variant="exponential"))
+        q2 = update_weights(v, AdaptConfig(lam=2.0, variant="exponential"))
         assert np.all(q2 < q1)
 
     def test_clamp_boundary_no_overflow(self):
         from decimal import Decimal, localcontext
 
-        cfg = AdaptConfig(lam=0.5, gamma=0.0)
+        cfg = AdaptConfig(lam=0.5, variant="exponential")
         v = np.full(10, 1e6)
-        q = update_weights_exp(v, cfg)
+        q = update_weights(v, cfg)
         assert np.all(np.isfinite(q))
         # clamped exactly at exp(EXP_CLAMP) = exp(2); reference value from extended precision
         assert EXP_CLAMP == 2.0
@@ -124,9 +117,9 @@ class TestExpUpdate:
 
     def test_always_positive(self):
         rng = np.random.default_rng(3)
-        cfg = AdaptConfig(lam=1.0)
+        cfg = AdaptConfig(lam=1.0, variant="exponential")
         for _ in range(50):
-            q = update_weights_exp(10.0 * rng.standard_normal(10), cfg)
+            q = update_weights(10.0 * rng.standard_normal(10), cfg)
             assert np.all(q > 0.0)
 
 
@@ -143,14 +136,15 @@ class TestVariantProperties:
             assert np.all(q2 >= q1)
 
     def test_dispatch(self):
-        v = np.ones(10)
+        # each variant's closed form, written out, at lam = 1 (divisor 2)
+        v = np.array([0.0, 1.0, 2.0, 4.0, 5.0, -3.0, 3e4, 1e300, -1e300, 0.5])
         assert np.array_equal(
             update_weights(v, AdaptConfig(lam=1.0, variant="exponential")),
-            update_weights_exp(v, AdaptConfig(lam=1.0)),
+            np.exp(np.minimum(v / 2.0, EXP_CLAMP)),
         )
         assert np.array_equal(
             update_weights(v, AdaptConfig(lam=1.0, variant="linear")),
-            update_weights_linear(v, AdaptConfig(lam=1.0, variant="linear")),
+            np.minimum(v / 2.0, LINEAR_Q_MAX),
         )
 
     @pytest.mark.parametrize("variant", ["exponential"])

@@ -244,7 +244,6 @@ class TestSimulate:
             ("--noise-sigma", "noise_sigma", "nan"),
             ("--lambda", "lambda", "nan"),
             ("--lambda", "lambda", "inf"),
-            ("--gamma", "gamma", "nan"),
             ("--dt", "dt", "nan"),
             ("--alpha", "alpha", "nan"),
         ],
@@ -311,7 +310,15 @@ class TestSimulate:
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("case", ["bad trajectory header", "trajectory dt", "bad worker cap"])
+#: a horizon of 1 fails its own check, not the check of the default sub-horizon 8 against it
+_HORIZON_ONE = {
+    "simulate fixed horizon 1": ["simulate", "--trajectory", "agg1", "--horizon", "1"],
+    "simulate adaptive horizon 1": ["simulate", "--trajectory", "agg1", "--mode", "adaptive", "--horizon", "1"],
+    "table 3 horizon 1": ["table", "--table", "3", "--horizon", "1"],
+}
+
+
+@pytest.mark.parametrize("case", ["bad trajectory header", "trajectory dt", "bad worker cap", "gamma key", *_HORIZON_ONE])
 def test_failure_before_first_artifact_leaves_no_directory(tmp_path, monkeypatch, capsys, case):
     traj_path = tmp_path / "tr.csv"
     if case == "bad trajectory header":
@@ -322,11 +329,19 @@ def test_failure_before_first_artifact_leaves_no_directory(tmp_path, monkeypatch
         preset("circle", dt=0.02).to_csv(traj_path)
         argv = ["simulate", "--trajectory", f"file:{traj_path}"]
         message = "trajectory sample time 0.02 differs from the controller dt 0.05"
-    else:
+    elif case == "bad worker cap":
         monkeypatch.setenv(harness.THREADS_ENV, "abc")
         monkeypatch.setattr(harness, "run_cell", lambda *args: pytest.fail("a cell ran"))
         argv = ["table", "--table", "3", "--runs", "1"]
         message = "ADAPTIVE_NMPC_THREADS must be an integer, got 'abc'"
+    elif case == "gamma key":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"gamma": 0.0}))
+        argv = ["simulate", "--config", str(cfg_path)]
+        message = "unknown config key 'gamma'"
+    else:
+        argv = _HORIZON_ONE[case]
+        message = "horizon must be >= 2, got 1"
     assert main([*argv, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x").exists()
@@ -593,7 +608,8 @@ class TestTableCommand:
         assert "skipped" in (out / "table2.txt").read_text()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--mode", "adaptive"), ("--trajectory", "agg1"), ("--noise-sigma", "2.0")]
+        "flag, value",
+        [("--mode", "adaptive"), ("--trajectory", "agg1"), ("--noise-sigma", "2.0"), ("--gamma", "0.5")],
     )
     def test_rejects_flags_it_never_reads(self, tmp_path, no_run, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -629,7 +645,6 @@ class TestTableCommand:
         "flag, value, message",
         [
             ("--lambda", "-1", "lam must be positive, got -1.0"),
-            ("--gamma", "-2", "gamma must be non-negative, got -2.0"),
             ("--sub-horizon", "0", "sub_horizon must be >= 1, got 0"),
             ("--alpha", "0", "alpha must be in (0, 1], got 0.0"),
         ],
@@ -644,7 +659,7 @@ class TestTableCommand:
         "table, flag, value, message",
         [
             (3, "--lambda", "nan", "lambda must be finite, got nan"),
-            (1, "--gamma", "inf", "gamma must be finite, got inf"),
+            (1, "--alpha", "inf", "alpha must be finite, got inf"),
             (2, "--dt", "nan", "dt must be finite, got nan"),
             (3, "--seed", "-1", "seed must be >= 0, got -1"),
         ],
@@ -679,7 +694,7 @@ class TestTableCommand:
         out = tmp_path / "t"
         assert main(["table", "--table", str(table), "--out", str(out)]) == 0
         header = (
-            '# config: {"alpha": 1.0, "alternations": 2, "dt": 0.05, "gamma": 0.0, "horizon": 19, "lambda": 1.0, '
+            '# config: {"alpha": 1.0, "alternations": 2, "dt": 0.05, "horizon": 19, "lambda": 1.0, '
             f'"mode": "fixed", "noise_sigma": 0.0, "runs": {runs}, "seed": 0, "sub_horizon": 8, "table": {table}, '
             '"trajectory": "circle", "variant": "exp"}'
         )

@@ -143,13 +143,13 @@ class TestTick:
         np.testing.assert_allclose(st2.weights.q, manual, atol=1e-12)
 
     def test_linear_weights_clipped_at_zero(self, monkeypatch):
-        # the controller projects the plain linear minimizer v_sum / (2 lam + gamma) onto q >= 0
+        # the controller projects the plain linear minimizer v_sum / (2 lam) onto q >= 0
         ns = 4
         v_sum = np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, -1e-9, 7.0, -4.0, 0.5])
         per_stage = np.vstack([v_sum, np.zeros((ns - 1, 10))])
         monkeypatch.setattr(controller, "compute_v", lambda resid, lx, alpha: per_stage)
         win = hover_window(N + 2)
-        adapt = AdaptConfig(lam=0.5, gamma=0.5, sub_horizon=ns, variant="linear")
+        adapt = AdaptConfig(lam=0.75, sub_horizon=ns, variant="linear")
         cfg = ControllerConfig(horizon=N, adapt=adapt)
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1

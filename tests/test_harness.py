@@ -156,11 +156,10 @@ class TestClosedLoop:
     "make, message",
     [
         (lambda: AdaptConfig(lam=np.nan), "lam must be positive, got nan"),
-        (lambda: AdaptConfig(gamma=np.nan), "gamma must be non-negative, got nan"),
         (lambda: NoiseConfig(sigma=np.nan), "sigma must be non-negative, got nan"),
         (lambda: ControllerConfig(dt=np.nan), "dt must be positive, got nan"),
     ],
-    ids=["AdaptConfig.lam", "AdaptConfig.gamma", "NoiseConfig.sigma", "ControllerConfig.dt"],
+    ids=["AdaptConfig.lam", "NoiseConfig.sigma", "ControllerConfig.dt"],
 )
 def test_configs_reject_nan(make, message):
     with pytest.raises(ValueError, match=message):
@@ -296,7 +295,7 @@ class TestGrid:
         assert res.report is None
         assert res.message == (
             "run 0: 103 of 103 ticks failed their QP and held the command; "
-            "first at tick 0: active-set loop did not converge within 1 iterations"
+            "first at tick 0: active-set loop did not converge within 1 iterations; largest QP input |r| = 5.0e+00"
         )
         monkeypatch.undo()
         healthy = run_cell(cell, ControllerConfig(limits=SATURATED_BOX))
@@ -304,7 +303,7 @@ class TestGrid:
         assert healthy.message == ""
 
     @pytest.mark.parametrize("table", [1, 2, 3])
-    def test_table_gamma_reaches_the_controller(self, monkeypatch, table):
+    def test_table_variant_reaches_the_controller(self, monkeypatch, table):
         seen = []
 
         def fake_run(traj, cfg, noise=None, seed=0, x0=None):
@@ -312,11 +311,11 @@ class TestGrid:
             return random_log(np.random.default_rng(0))
 
         monkeypatch.setattr(harness, "run_closed_loop", fake_run)
-        cells = table_grid(table, RunConfig(gamma=5.0, runs=1)).cells()
-        assert {c.gamma for c in cells} == {5.0}
+        cells = table_grid(table, RunConfig(variant="linear", runs=1)).cells()
+        assert {c.variant for c in cells} == {"linear"}
         adaptive = next(c for c in cells if c.mode == "adaptive" and c.valid)
         assert run_cell(adaptive, ControllerConfig()).status == "ok"
-        assert seen[-1].gamma == 5.0
+        assert seen[-1].variant == "linear"
         assert (seen[-1].lam, seen[-1].sub_horizon) == (adaptive.lam, adaptive.sub_horizon)
 
     def test_failed_cell_recorded_and_grid_continues(self):

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,16 @@ class TestSolveQp:
         monkeypatch.setattr(transcription, "QP_TOL", res / 2)
         with pytest.raises(QpSolveError, match=f"exceeds tolerance {res / 2:.1e}"):
             solve_qp(prob)
+
+    def test_non_convergence_names_largest_input(self, monkeypatch):
+        # bounds bind, so one working set is too few; the 1e4 state weight is the largest input
+        prob, _ = box_instance(np.random.default_rng(8), N=3)
+        qs = prob.qs.copy()
+        qs[1, 0] = 1e4
+        monkeypatch.setattr(transcription, "QP_MAX_ITER", 1)
+        message = r"active-set loop did not converge within 1 iterations; largest QP input \|q\| = 1\.0e\+04"
+        with pytest.raises(QpSolveError, match=f"^{message}$"):
+            solve_qp(replace(prob, qs=qs))
 
     def test_invalid_control_weights_raise(self):
         rng = np.random.default_rng(5)
