@@ -38,7 +38,7 @@ from .harness import (
     run_closed_loop,
     run_experiment_grid,
 )
-from .trajectories import PRESET_NAMES, ReferenceTrajectory, preset
+from .trajectories import PRESET_NAMES, ReferenceTrajectory, preset, read_float_rows
 
 SIMLOG_COLUMNS = (
     "t",
@@ -90,10 +90,16 @@ class TableSpec:
     runs: int = 1  # default noise averaging runs
 
     @property
+    def noise(self) -> bool:
+        """Whether the table sweeps the noise sigma; a noise-free table's runs are identical and draw no seed."""
+        return self.field == "noise_sigma"
+
+    @property
     def unread(self) -> frozenset[str]:
         """RunConfig fields the table never reads: it runs every preset in both modes, noise only on Table 3."""
         own = () if self.sub_horizons is None else ("sub_horizon",)
-        return frozenset(("trajectory", "mode", "noise_sigma", self.field, *own))
+        noise_free = () if self.noise else ("runs", "seed")
+        return frozenset(("trajectory", "mode", "noise_sigma", self.field, *own, *noise_free))
 
 
 TABLE_SIGMAS = (0.5, 2.0, 3.5, 5.0)
@@ -115,7 +121,6 @@ class RunConfig:
     horizon: int = 19
     sub_horizon: int = 8
     alpha: float = 1.0
-    alternations: int = 2
     dt: float = 0.05
     noise_sigma: float = 0.0
     runs: int = 1
@@ -152,7 +157,6 @@ class RunConfig:
             dt=self.dt,
             alpha=self.alpha,
             adapt=adapt if self.mode == "adaptive" else None,
-            alternations=self.alternations,
         )
 
     def load_trajectory(self) -> ReferenceTrajectory:
@@ -237,18 +241,21 @@ def write_simlog_csv(log: SimLog, path: Path, config: dict) -> None:
 
 
 def read_simlog_csv(path: Path) -> tuple[dict, np.ndarray]:
-    """Returns (config, data) with data columns as in SIMLOG_COLUMNS; an empty field reads as NaN."""
-    config = {}
+    """Returns (config, data), columns as in SIMLOG_COLUMNS and an empty field as NaN; a bad line raises, naming it."""
     with open(path, newline="") as fh:
         first = fh.readline()
-        if first.startswith("# config:"):
-            config = json.loads(first[len("# config:") :])
-        else:
+        skipped = first.startswith("# config:")
+        if not skipped:
             fh.seek(0)
+        try:
+            config = json.loads(first[len("# config:") :]) if skipped else {}
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path} line 1: the config is not valid JSON ({err.msg})") from None
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != SIMLOG_COLUMNS:
             raise ValueError(f"missing or unexpected log CSV header in {path}")
-        data = np.array([[float(v) if v else math.nan for v in row] for row in reader])
+        rows = ((skipped + reader.line_num, row) for row in reader)
+        data = read_float_rows(rows, path, len(SIMLOG_COLUMNS), blank=math.nan)
     if len(data) == 0:
         raise ValueError(f"log CSV {path} has no rows")
     return config, data
@@ -369,7 +376,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     echo = {**cfg.echo(), "table": args.table}
     write_report_csv(results, out / f"table{args.table}_report.csv", echo)
 
-    text = render_table(results, list(spec.values), spec.label, noise=spec.field == "noise_sigma")
+    text = render_table(results, list(spec.values), spec.label, noise=spec.noise)
     text = _config_header(echo) + "\n" + text
     (out / f"table{args.table}.txt").write_text(text)
     print(text)
@@ -431,7 +438,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=int)
     p.add_argument("--sub-horizon", dest="sub_horizon", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--alternations", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory")
@@ -450,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("table", help="run one of the three benchmark sweeps")
     p_tab.add_argument("--table", type=int, choices=sorted(TABLES), required=True)
-    p_tab.add_argument("--runs", type=int, help="noise averaging runs (table 3 default: 15)")
+    p_tab.add_argument("--runs", type=int, help="noise averaging runs (table 3 only; default 15)")
     _add_run_flags(p_tab)
     p_tab.set_defaults(func=cmd_table)
 

@@ -2,7 +2,7 @@
 
 Each tick runs
 
-  Stage 1: up to ``alternations`` rounds of: linearize the prediction,
+  Stage 1: up to ``ALTERNATIONS`` = 2 rounds of: linearize the prediction,
            solve the stage-wise QP, take the (partial) Newton step;
            stopping early once the step norm drops below ``CONV_TOL``;
   Stage 2: (adaptive mode only) accumulate the error products of the
@@ -42,6 +42,9 @@ from .transcription import (
 #: Step norm below which a tick stops its alternation rounds early.
 CONV_TOL = 1e-4
 
+#: Alternation rounds a tick runs at most; a constant, like CONV_TOL, not a setting.
+ALTERNATIONS = 2
+
 
 #: The fixed-weight profile, and every run's weights before its first tick: a
 #: generic conservative tuning. Position and attitude are tracked with unit
@@ -57,7 +60,6 @@ class ControllerConfig:
     alpha: float = 1.0
     adapt: AdaptConfig | None = None
     limits: ControlLimits | None = ControlLimits()
-    alternations: int = 2
     model: QuadrotorModel = QUADROTOR
     #: transcription.QP_TOL, the KKT tolerance every QP is certified against; not a field
     qp_tol = QP_TOL
@@ -69,8 +71,6 @@ class ControllerConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.alternations < 1:
-            raise ValueError(f"alternations must be >= 1, got {self.alternations}")
         if self.adapt is not None and self.adapt.sub_horizon > self.horizon:
             raise ValueError(f"sub-horizon {self.adapt.sub_horizon} exceeds horizon {self.horizon}")
 
@@ -125,7 +125,7 @@ def nmpc_tick(
     diag = TickDiagnostics()
 
     try:
-        for _ in range(cfg.alternations):
+        for _ in range(ALTERNATIONS):
             prob = build_qp(pred, refs, weights, x_meas, cfg.limits, cfg.alpha, cfg.dt, cfg.model)
             sol = solve_qp(prob, active=active)
             active = sol.active

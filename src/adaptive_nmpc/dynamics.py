@@ -105,20 +105,6 @@ class ControlLimits:
         return np.clip(u, self.lower, self.upper)
 
 
-@dataclass
-class LinearizedStage:
-    """Discrete-time linearization at one shooting stage.
-
-    ``A`` and ``B`` are Jacobians of the discrete step map (RK4 plus
-    renormalization); ``defect`` is the shooting continuity residual. Only
-    ``ShootingProblem.stages`` builds these, as views of its stacked arrays.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    defect: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Vector core (batched over leading dimensions)
 # ---------------------------------------------------------------------------

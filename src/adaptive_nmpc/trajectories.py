@@ -106,16 +106,30 @@ class ReferenceTrajectory:
     @classmethod
     def from_csv(cls, path: str | Path) -> "ReferenceTrajectory":
         with open(path, newline="") as fh:
-            reader = csv.reader(row for row in fh if not row.startswith("#"))
-            header = next(reader, [])
+            reader = csv.reader(fh)
+            rows = ((reader.line_num, row) for row in reader if not (row and row[0].startswith("#")))
+            header = next(rows, (0, []))[1]
             if tuple(header) != CSV_COLUMNS:
                 raise ValueError(f"unexpected trajectory CSV header {header} in {path}")
-            data = np.array([[float(v) for v in row] for row in reader])
-        if data.ndim != 2 or data.shape[0] < 2:
+            data = read_float_rows(rows, path, len(CSV_COLUMNS))
+        if data.shape[0] < 2:
             raise ValueError(f"trajectory CSV {path} needs at least 2 data rows")
         traj = cls(data[:, 0], data[:, 1:11], data[:, 11:15], Path(path).stem)
         traj.validate()
         return traj
+
+
+def read_float_rows(rows, path: str | Path, width: int, blank: float | None = None) -> np.ndarray:
+    """(line number, fields) pairs as an ``(n, width)`` array, an empty field as ``blank``; a bad row names its line."""
+    data = []
+    for line, row in rows:
+        try:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            data.append([blank if v == "" and blank is not None else float(v) for v in row])
+        except ValueError as err:
+            raise ValueError(f"{path} line {line}: {err}") from None
+    return np.array(data, dtype=float).reshape(len(data), width)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ weight-normalized problem, with costates from one backward pass.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .dynamics import (
     QUADROTOR,
     STATE_DIM,
     ControlLimits,
-    LinearizedStage,
     QuadrotorModel,
 )
 from .trajectories import ReferenceWindow
@@ -90,6 +90,9 @@ class PredictionTrajectory:
         return self.us.shape[0]
 
 
+Stage = namedtuple("Stage", "A B defect")  # one element of ShootingProblem.stages
+
+
 @dataclass
 class ShootingProblem:
     """Stage-wise QP data for one prediction step.
@@ -115,13 +118,13 @@ class ShootingProblem:
         return self.B.shape[0]
 
     @property
-    def stages(self) -> list[LinearizedStage]:
+    def stages(self) -> list[Stage]:
         """Per-stage views of ``A``, ``B`` and ``defects``, built on each read.
 
         The solver never reads this; it exists for code that inspects one
         stage at a time.
         """
-        return [LinearizedStage(self.A[k], self.B[k], self.defects[k]) for k in range(self.horizon)]
+        return [Stage(self.A[k], self.B[k], self.defects[k]) for k in range(self.horizon)]
 
 
 @dataclass

@@ -155,7 +155,8 @@ def test_criterion_baseline_lti_tracking(monkeypatch):
     u0_oracle = ref_us[0] + du_o[0]
 
     monkeypatch.setattr(controller, "CONV_TOL", 1e-13)
-    cfg = ControllerConfig(horizon=horizon, dt=0.1, alternations=60, limits=None, model=model)
+    monkeypatch.setattr(controller, "ALTERNATIONS", 60)
+    cfg = ControllerConfig(horizon=horizon, dt=0.1, limits=None, model=model)
     cmd, _, _ = baseline_tick(ControllerState(weights=WeightVector(q, r)), x0, win, cfg)
     err = float(np.abs(cmd - u0_oracle).max())
     report("baseline converges to Riccati tracking oracle on LTI toy", err < 1e-6, f"err {err:.2e}")

@@ -46,6 +46,20 @@ def random_log_csv(path, seed=0, L=6):
     return path
 
 
+def edit_line(lines, n, edit):
+    """The lines of a CSV file with line ``n`` (1-based) replaced by ``edit`` of its fields."""
+    fields = lines[n - 1].rstrip("\n").split(",")
+    return [*lines[: n - 1], ",".join(edit(fields)) + "\n", *lines[n:]]
+
+
+def short_row(fields):
+    return fields[:2]
+
+
+def non_numeric(fields):
+    return [*fields[:3], "x", *fields[4:]]
+
+
 class TestWriters:
     CONFIG = {"mode": "fixed", "seed": 3}
     HEADER = '# config: {"mode": "fixed", "seed": 3}\n'
@@ -191,6 +205,8 @@ class TestSimulate:
             ("quaternion", "reference quaternions are not unit norm"),
             ("nan", "trajectory contains non-finite values"),
             ("time", "sample times are not uniformly spaced by dt"),
+            ("short row", "{} line 7: expected 15 fields, got 2"),
+            ("non-numeric field", "{} line 7: could not convert string to float: 'x'"),
         ],
     )
     def test_file_trajectory_validated(self, tmp_path, capsys, corrupt, message):
@@ -200,13 +216,16 @@ class TestSimulate:
             xs[5, 6:10] *= 1.01
         elif corrupt == "nan":
             xs[5] = np.nan
-        else:
+        elif corrupt == "time":
             ts[5:] += 0.01
         traj_path = tmp_path / "tr.csv"
         ReferenceTrajectory(ts, xs, tr.us).to_csv(traj_path)
+        edit = {"short row": short_row, "non-numeric field": non_numeric}.get(corrupt)
+        if edit is not None:
+            traj_path.write_text("".join(edit_line(traj_path.read_text().splitlines(True), 7, edit)))
         rc = main(["simulate", "--trajectory", f"file:{traj_path}", "--horizon", "8", "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(traj_path)}" in capsys.readouterr().err
         assert not (tmp_path / "x" / "log.csv").exists()
 
     def test_empty_trajectory_file_named(self, tmp_path, capsys):
@@ -318,7 +337,9 @@ _HORIZON_ONE = {
 }
 
 
-@pytest.mark.parametrize("case", ["bad trajectory header", "trajectory dt", "bad worker cap", "gamma key", *_HORIZON_ONE])
+@pytest.mark.parametrize(
+    "case", ["bad trajectory header", "trajectory dt", "bad worker cap", "gamma key", "alternations key", *_HORIZON_ONE]
+)
 def test_failure_before_first_artifact_leaves_no_directory(tmp_path, monkeypatch, capsys, case):
     traj_path = tmp_path / "tr.csv"
     if case == "bad trajectory header":
@@ -334,11 +355,12 @@ def test_failure_before_first_artifact_leaves_no_directory(tmp_path, monkeypatch
         monkeypatch.setattr(harness, "run_cell", lambda *args: pytest.fail("a cell ran"))
         argv = ["table", "--table", "3", "--runs", "1"]
         message = "ADAPTIVE_NMPC_THREADS must be an integer, got 'abc'"
-    elif case == "gamma key":
+    elif case in ("gamma key", "alternations key"):
+        key = case.split()[0]
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"gamma": 0.0}))
+        cfg_path.write_text(json.dumps({key: 0.0}))
         argv = ["simulate", "--config", str(cfg_path)]
-        message = "unknown config key 'gamma'"
+        message = f"unknown config key {key!r}"
     else:
         argv = _HORIZON_ONE[case]
         message = "horizon must be >= 2, got 1"
@@ -510,18 +532,23 @@ class TestPlotdata:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "kept, order, message",
+        "corrupt, order, message",
         [
-            (0, "after", "missing or unexpected log CSV header in {}"),
-            (0, "before", "missing or unexpected log CSV header in {}"),
-            (2, "alone", "log CSV {} has no rows"),  # the config line and the header
+            (lambda lines: [], "after", "missing or unexpected log CSV header in {}"),
+            (lambda lines: [], "before", "missing or unexpected log CSV header in {}"),
+            (lambda lines: lines[:2], "alone", "log CSV {} has no rows"),  # the config line and the header
+            (lambda lines: ["# config: {bad\n", *lines[1:]], "after",
+             "{} line 1: the config is not valid JSON (Expecting property name enclosed in double quotes)"),
+            (lambda lines: edit_line(lines, 5, short_row), "after", "{} line 5: expected 23 fields, got 2"),
+            (lambda lines: edit_line(lines, 4, non_numeric), "before",
+             "{} line 4: could not convert string to float: 'x'"),
         ],
-        ids=["empty-second", "empty-first", "header-only"],
+        ids=["empty-second", "empty-first", "header-only", "bad-config-json", "short-row", "non-numeric-field"],
     )
-    def test_unreadable_log_writes_nothing(self, tmp_path, capsys, kept, order, message):
+    def test_unreadable_log_writes_nothing(self, tmp_path, capsys, corrupt, order, message):
         good = random_log_csv(tmp_path / "run" / "log.csv")
         bad = tmp_path / "bad.csv"
-        bad.write_text("".join(good.read_text().splitlines(True)[:kept]))
+        bad.write_text("".join(corrupt(good.read_text().splitlines(True))))
         logs = {"after": [good, bad], "before": [bad, good], "alone": [bad]}[order]
         out = tmp_path / "plots"
         assert main(["plotdata", *(a for log in logs for a in ("--log", str(log))), "--out", str(out)]) == 1
@@ -609,7 +636,13 @@ class TestTableCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--mode", "adaptive"), ("--trajectory", "agg1"), ("--noise-sigma", "2.0"), ("--gamma", "0.5")],
+        [
+            ("--mode", "adaptive"),
+            ("--trajectory", "agg1"),
+            ("--noise-sigma", "2.0"),
+            ("--gamma", "0.5"),
+            ("--alternations", "2"),
+        ],
     )
     def test_rejects_flags_it_never_reads(self, tmp_path, no_run, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -619,7 +652,9 @@ class TestTableCommand:
 
     @pytest.mark.parametrize(
         "table, flag, value",
-        [(1, "--lambda", "2.0"), (1, "--sub-horizon", "4"), (2, "--horizon", "8"), (2, "--sub-horizon", "4")],
+        [(1, "--lambda", "2.0"), (1, "--sub-horizon", "4"), (2, "--horizon", "8"), (2, "--sub-horizon", "4")]
+        # the noise-free tables repeat identical runs and draw no seed
+        + [(t, flag, value) for t in (1, 2) for flag, value in (("--runs", "2"), ("--seed", "3"))],
     )
     def test_rejects_flags_its_table_never_reads(self, tmp_path, no_run, capsys, table, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -631,7 +666,8 @@ class TestTableCommand:
     @pytest.mark.parametrize(
         "table, key, value",
         [(t, *kv) for t in (1, 2, 3) for kv in (("trajectory", "agg1"), ("mode", "adaptive"), ("noise_sigma", 3.0))]
-        + [(1, "lambda", 2.0), (1, "sub_horizon", 4), (2, "horizon", 8), (2, "sub_horizon", 4)],
+        + [(1, "lambda", 2.0), (1, "sub_horizon", 4), (2, "horizon", 8), (2, "sub_horizon", 4)]
+        + [(t, *kv) for t in (1, 2) for kv in (("runs", 2), ("seed", 3))],
     )
     def test_rejects_config_keys_its_table_never_reads(self, tmp_path, no_run, capsys, table, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -665,7 +701,8 @@ class TestTableCommand:
         ],
     )
     def test_rejects_bad_numbers_before_any_cell_runs(self, tmp_path, no_run, capsys, table, flag, value, message):
-        rc = main(["table", "--table", str(table), "--runs", "1", flag, value, "--out", str(tmp_path / "t")])
+        runs = ["--runs", "1"] if table == 3 else []
+        rc = main(["table", "--table", str(table), *runs, flag, value, "--out", str(tmp_path / "t")])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
@@ -694,7 +731,7 @@ class TestTableCommand:
         out = tmp_path / "t"
         assert main(["table", "--table", str(table), "--out", str(out)]) == 0
         header = (
-            '# config: {"alpha": 1.0, "alternations": 2, "dt": 0.05, "horizon": 19, "lambda": 1.0, '
+            '# config: {"alpha": 1.0, "dt": 0.05, "horizon": 19, "lambda": 1.0, '
             f'"mode": "fixed", "noise_sigma": 0.0, "runs": {runs}, "seed": 0, "sub_horizon": 8, "table": {table}, '
             '"trajectory": "circle", "variant": "exp"}'
         )

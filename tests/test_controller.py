@@ -116,9 +116,10 @@ class TestTick:
         cmd_b, _, _ = baseline_tick(ControllerState(), x_meas, win, cfg_b)
         np.testing.assert_array_equal(cmd_a, cmd_b)
 
-    def test_offset_boosts_matching_weight_dimension(self):
+    def test_offset_boosts_matching_weight_dimension(self, monkeypatch):
         win = hover_window(N + 2)
-        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=1)
+        monkeypatch.setattr(controller, "ALTERNATIONS", 1)
+        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
         st = ControllerState()
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1
@@ -230,8 +231,9 @@ class TestWeightUpdate:
 
     def test_once_when_rounds_stop_on_conv_tol(self, monkeypatch):
         calls = self.count_updates(monkeypatch)
+        monkeypatch.setattr(controller, "ALTERNATIONS", 3)
         win = hover_window(N + 2)
-        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=3)
+        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
         _, _, diag = nmpc_tick(ControllerState(), win.xs[0], win, cfg)
         assert len(diag.rounds) == 1  # hover is a fixed point: the first step is below CONV_TOL
         assert len(calls) == 1
@@ -239,14 +241,15 @@ class TestWeightUpdate:
     def test_once_after_all_rounds(self, monkeypatch):
         calls = self.count_updates(monkeypatch)
         monkeypatch.setattr(controller, "CONV_TOL", 0.0)
+        monkeypatch.setattr(controller, "ALTERNATIONS", 3)
         win = hover_window(N + 2)
-        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5), alternations=3)
+        cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1
         st = ControllerState()
         for _ in range(2):
             _, st, diag = nmpc_tick(st, x_meas, win, cfg)
-            assert len(diag.rounds) == cfg.alternations
+            assert len(diag.rounds) == 3
         assert len(calls) == 2
 
     def test_never_on_a_fixed_weight_tick(self, monkeypatch):
@@ -406,8 +409,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ControllerConfig(dt=0.0)
         with pytest.raises(ValueError):
-            ControllerConfig(alternations=0)
-        with pytest.raises(ValueError):
             ControllerConfig(horizon=5, adapt=AdaptConfig(sub_horizon=6))
 
     def test_fixed_weights_is_not_a_setting(self):
@@ -421,6 +422,12 @@ class TestConfigValidation:
         assert ControllerConfig().qp_tol == transcription.QP_TOL
         with pytest.raises(TypeError):
             ControllerConfig(qp_tol=1e-3)
+
+    def test_alternations_is_not_a_setting(self):
+        # every table, preset and benchmark runs controller.ALTERNATIONS rounds at most
+        assert "alternations" not in {f.name for f in dataclasses.fields(ControllerConfig)}
+        with pytest.raises(TypeError):
+            ControllerConfig(alternations=2)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):

@@ -3,7 +3,7 @@
 #   simulate: agg1 fixed, agg1 adaptive exp, diamond adaptive linear
 #             (lambda 0.01), agg2 with noise sigma 2 and seed 3, and a
 #             circle read back from a CSV file written by to_csv;
-#   table:    tables 1, 2 and 3, two runs per cell;
+#   table:    tables 1 and 2, and table 3 at two runs per cell;
 #   plotdata: the agg1 fixed and agg1 exp logs side by side.
 # Every path the commands see is relative to OUT, so two checkouts' outputs
 # compare byte for byte with `diff -r OUT_A OUT_B`. Each command's exit code
@@ -36,7 +36,7 @@ run agg1_exp simulate --trajectory agg1 --mode adaptive --variant exp --out agg1
 run diamond_linear simulate --trajectory diamond --mode adaptive --variant linear --lambda 0.01 --out diamond_linear
 run agg2_noise simulate --trajectory agg2 --noise-sigma 2 --seed 3 --out agg2_noise
 run circle_file simulate --trajectory file:circle.csv --out circle_file
-for k in 1 2 3; do
-    run "table$k" table --table "$k" --runs 2 --out "table$k"
-done
+run table1 table --table 1 --out table1
+run table2 table --table 2 --out table2
+run table3 table --table 3 --runs 2 --out table3
 run plot plotdata --log agg1_fixed/log.csv --log agg1_exp/log.csv --out plots

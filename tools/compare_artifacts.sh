@@ -9,7 +9,9 @@
 #   OUT/work_artifacts            tools/artifacts.sh of the working tree;
 #   OUT/work_artifacts_1thread    the same with OPENBLAS_NUM_THREADS=1.
 # The first three run with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS unset.
-# Prints `diff -r` of each pair and exits 1 on any difference.
+# Prints `diff -r` of each pair and exits 1 on any difference, and also
+# when a command of the working tree's proof set exits non-zero, naming it:
+# two sides that fail alike would otherwise compare clean.
 # It changes no git state: no worktree, branch or checkout. The four
 # directories above are replaced on each run.
 #
@@ -42,6 +44,11 @@ fi
 if diff -r "$out/work_artifacts" "$out/work_artifacts_1thread"; then
     echo "no difference between the working tree's proof sets under default and one BLAS thread"
 else
+    status=1
+fi
+failed=$(awk '$2 != 0 { print $1 " (exit " $2 ")" }' "$out/work_artifacts/exit_codes.txt")
+if [ -n "$failed" ]; then
+    echo "proof set commands that failed in the working tree:" $failed
     status=1
 fi
 exit $status
