@@ -7,10 +7,11 @@ table      one of the three benchmark sweeps; writes a report CSV and a
            rendered text table
 plotdata   convert simulation logs into aligned column files for plotting
 
-Every artifact embeds the fully resolved configuration and seed. Output is
-deterministic: re-running with identical configuration and seed reproduces
-byte-identical files. Exit codes: 0 success, 1 runtime failure, 2 usage
-error. ``ADAPTIVE_NMPC_THREADS`` caps grid parallelism.
+A command takes, and every artifact records, exactly the settings its run
+reads; setting any other one is an error. Output is deterministic, and a
+``simulate`` record is a valid ``--config`` file: feeding it back reproduces
+byte-identical files. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+``ADAPTIVE_NMPC_THREADS`` caps grid parallelism.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,8 +121,6 @@ class RunConfig:
     lam: float = 1.0
     horizon: int = 19
     sub_horizon: int = 8
-    alpha: float = 1.0
-    dt: float = 0.05
     noise_sigma: float = 0.0
     runs: int = 1
     seed: int = 0
@@ -143,65 +142,67 @@ class RunConfig:
             raise ValueError("runs must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self.controller_config()  # the controller's own checks: horizon, dt, alpha, lambda, sub-horizon >= 1
+        self.controller_config()  # the controller's own checks: horizon, lambda, sub-horizon >= 1
 
-    def echo(self) -> dict:
-        # the destination path is not part of the experiment definition
-        return {_FIELD_KEYS.get(k, k): v for k, v in asdict(self).items() if k != "out"}
+    def unread(self, spec: TableSpec | None = None) -> frozenset[str]:
+        """Fields the table never reads, or those a ``simulate`` run of this config never reads: runs, the
+        adaptive settings in fixed mode, and the seed without noise."""
+        if spec is not None:
+            return spec.unread
+        fixed = ("lam", "sub_horizon", "variant") if self.mode == "fixed" else ()
+        noise_free = ("seed",) if self.noise_sigma == 0 else ()
+        return frozenset(("runs", *fixed, *noise_free))
+
+    def echo(self, spec: TableSpec | None = None) -> dict:
+        """The settings the command read, keyed as in a config file; the output path is not part of the experiment."""
+        skip = self.unread(spec) | {"out"}
+        return {_FIELD_KEYS.get(k, k): v for k, v in asdict(self).items() if k not in skip}
 
     def controller_config(self) -> ControllerConfig:
-        # built whatever the mode, so that a bad lambda or sub-horizon fails before any run
+        # built whatever the mode: a table reads lambda and sub-horizon in fixed mode, and a bad one fails before any run
         adapt = AdaptConfig(lam=self.lam, sub_horizon=self.sub_horizon, variant=_VARIANT_CLI_TO_INTERNAL[self.variant])
-        return ControllerConfig(
-            horizon=self.horizon,
-            dt=self.dt,
-            alpha=self.alpha,
-            adapt=adapt if self.mode == "adaptive" else None,
-        )
+        return ControllerConfig(horizon=self.horizon, adapt=adapt if self.mode == "adaptive" else None)
 
     def load_trajectory(self) -> ReferenceTrajectory:
         if self.trajectory.startswith("file:"):
             return ReferenceTrajectory.from_csv(self.trajectory[5:])
-        return preset(self.trajectory, dt=self.dt)
+        return preset(self.trajectory)
 
 
-def resolve_config(
-    args: argparse.Namespace, defaults: RunConfig | None = None, unread: frozenset[str] = frozenset()
-) -> RunConfig:
-    """Apply precedence defaults < config file < explicit flags.
+def resolve_config(args: argparse.Namespace, spec: TableSpec | None = None) -> RunConfig:
+    """Apply precedence defaults < config file < explicit flags, for ``simulate`` or for ``table`` on ``spec``.
 
-    Setting a field in ``unread``, which the command never reads, by flag is a
-    usage error (exit 2) and by config key a ValueError. A command that reads
-    the sub-horizon rejects one above the horizon, once every field has passed
-    its own check: a horizon of 1 is blamed on the horizon, not on the sub-horizon.
+    Setting a field the merged config's run never reads (``RunConfig.unread``) is a usage error (exit 2) by
+    flag and a ValueError by config key. Where the sub-horizon is read it may not exceed the horizon; that
+    check follows every field's own, so a horizon of 1 is blamed on the horizon, not on the sub-horizon.
     """
-    for name in sorted(unread):
-        if getattr(args, name, None) is not None:
-            flag = "--" + _FIELD_KEYS.get(name, name).replace("_", "-")
-            print(f"error: argument {flag}: not read by this command", file=sys.stderr)
-            raise SystemExit(2)
-    cfg = defaults if defaults is not None else RunConfig()
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
+    cfg = RunConfig() if spec is None else RunConfig(runs=spec.runs)
+    data = {}
+    if args.config:
+        with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
-            raise ValueError(f"config file {config_path} must hold a JSON object")
-        by_key = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(RunConfig)}
-        for key, value in data.items():
-            f = by_key.get(key)
-            if f is None:
-                raise ValueError(f"unknown config key {key!r}")
-            if f.name in unread:
-                raise ValueError(f"config key {key!r} is not read by this command")
-            # bool is an int subclass in Python, but JSON true/false is never a number here
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
-                raise ValueError(f"config key {key!r} must be of type {f.type}, got {value!r}")
-            setattr(cfg, f.name, value)
-    for f in fields(RunConfig):
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            setattr(cfg, f.name, flag_val)
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+    by_key = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(RunConfig)}
+    for key, value in data.items():
+        f = by_key.get(key)
+        if f is None:
+            raise ValueError(f"unknown config key {key!r}")
+        # bool is an int subclass in Python, but JSON true/false is never a number here
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+            raise ValueError(f"config key {key!r} must be of type {f.type}, got {value!r}")
+        setattr(cfg, f.name, value)
+    flags = [f.name for f in fields(RunConfig) if getattr(args, f.name, None) is not None]
+    for name in flags:
+        setattr(cfg, name, getattr(args, name))
+    unread = cfg.unread(spec)
+    for name in sorted(unread.intersection(flags)):
+        flag = "--" + _FIELD_KEYS.get(name, name).replace("_", "-")
+        print(f"error: argument {flag}: not read by this command", file=sys.stderr)
+        raise SystemExit(2)
+    for key in data:
+        if by_key[key].name in unread:
+            raise ValueError(f"config key {key!r} is not read by this command")
     cfg.validate()
     if "sub_horizon" not in unread and cfg.sub_horizon > cfg.horizon:
         raise ValueError(f"sub-horizon {cfg.sub_horizon} exceeds horizon {cfg.horizon}")
@@ -251,6 +252,8 @@ def read_simlog_csv(path: Path) -> tuple[dict, np.ndarray]:
             config = json.loads(first[len("# config:") :]) if skipped else {}
         except json.JSONDecodeError as err:
             raise ValueError(f"{path} line 1: the config is not valid JSON ({err.msg})") from None
+        if not isinstance(config, dict):
+            raise ValueError(f"{path} line 1: the config must be a JSON object")
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != SIMLOG_COLUMNS:
             raise ValueError(f"missing or unexpected log CSV header in {path}")
@@ -328,11 +331,10 @@ def render_table(results: list[CellResult], columns: list, column_label: str, no
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, unread=frozenset({"runs"}))
-    controller_cfg = cfg.controller_config()
+    cfg = resolve_config(args)
     out = Path(cfg.out)
-
     traj = cfg.load_trajectory()
+    controller_cfg = replace(cfg.controller_config(), dt=traj.dt)  # the run ticks at the trajectory's sample time
     log = run_closed_loop(traj, controller_cfg, noise=NoiseConfig(cfg.noise_sigma), seed=cfg.seed)
 
     e = metric_total_error(log)
@@ -342,7 +344,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     summary = {
         "e": e,
         "tv": tv,
-        "seed": cfg.seed,
         "trajectory_length": len(log),
         "controller_failures": log.failures,
         "config": echo,
@@ -367,13 +368,13 @@ def table_grid(table: int, cfg: RunConfig) -> GridSpec:
 
 def cmd_table(args: argparse.Namespace) -> int:
     spec = TABLES[args.table]
-    cfg = resolve_config(args, RunConfig(runs=spec.runs), spec.unread)
+    cfg = resolve_config(args, spec)
     base = cfg.controller_config()
     grid = table_grid(args.table, cfg)
     out = Path(cfg.out)
     results = run_experiment_grid(grid, base, seed=cfg.seed)
 
-    echo = {**cfg.echo(), "table": args.table}
+    echo = {**cfg.echo(spec), "table": args.table}
     write_report_csv(results, out / f"table{args.table}_report.csv", echo)
 
     text = render_table(results, list(spec.values), spec.label, noise=spec.noise)
@@ -437,8 +438,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, help="weight-update regularization strength")
     p.add_argument("--horizon", type=int)
     p.add_argument("--sub-horizon", dest="sub_horizon", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--dt", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory")
 

@@ -3,7 +3,7 @@
 Each tick runs
 
   Stage 1: up to ``ALTERNATIONS`` = 2 rounds of: linearize the prediction,
-           solve the stage-wise QP, take the (partial) Newton step;
+           solve the stage-wise QP, take the Newton step scaled by ``ALPHA``;
            stopping early once the step norm drops below ``CONV_TOL``;
   Stage 2: (adaptive mode only) accumulate the error products of the
            final round over the sub-horizon and refresh the diagonal state
@@ -42,8 +42,10 @@ from .transcription import (
 #: Step norm below which a tick stops its alternation rounds early.
 CONV_TOL = 1e-4
 
-#: Alternation rounds a tick runs at most; a constant, like CONV_TOL, not a setting.
+#: Alternation rounds a tick runs at most, and ALPHA, the fraction of each round's Newton step that is taken
+#: (it also scales the reference gradient in the weight update); constants, like CONV_TOL, not settings.
 ALTERNATIONS = 2
+ALPHA = 1.0
 
 
 #: The fixed-weight profile, and every run's weights before its first tick: a
@@ -57,7 +59,6 @@ FIXED_WEIGHTS = WeightVector((1.0, 1.0, 1.0, 0.3, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0),
 class ControllerConfig:
     horizon: int = 19
     dt: float = 0.05
-    alpha: float = 1.0
     adapt: AdaptConfig | None = None
     limits: ControlLimits | None = ControlLimits()
     model: QuadrotorModel = QUADROTOR
@@ -69,8 +70,6 @@ class ControllerConfig:
             raise ValueError(f"horizon must be >= 2, got {self.horizon}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.adapt is not None and self.adapt.sub_horizon > self.horizon:
             raise ValueError(f"sub-horizon {self.adapt.sub_horizon} exceeds horizon {self.horizon}")
 
@@ -126,10 +125,10 @@ def nmpc_tick(
 
     try:
         for _ in range(ALTERNATIONS):
-            prob = build_qp(pred, refs, weights, x_meas, cfg.limits, cfg.alpha, cfg.dt, cfg.model)
+            prob = build_qp(pred, refs, weights, x_meas, cfg.limits, ALPHA, cfg.dt, cfg.model)
             sol = solve_qp(prob, active=active)
             active = sol.active
-            pred = apply_step(pred, sol, cfg.alpha, cfg.limits, cfg.model)
+            pred = apply_step(pred, sol, ALPHA, cfg.limits, cfg.model)
             diag.rounds.append(sol)
             if sol.step_norm < CONV_TOL:
                 break
@@ -149,7 +148,7 @@ def nmpc_tick(
         # reference, with the pre-step error as the gradient anchor
         ns = cfg.adapt.sub_horizon
         resid = pred.xs[:ns] - refs.xs[:ns]
-        v_sum = compute_v(resid, prob.lx[:ns], cfg.alpha).sum(axis=0)
+        v_sum = compute_v(resid, prob.lx[:ns], ALPHA).sum(axis=0)
         weights = WeightVector(np.maximum(update_weights(v_sum, cfg.adapt), 0.0), weights.r)
 
     # apply_step has already clamped the prediction's controls to the box

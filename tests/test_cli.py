@@ -12,6 +12,7 @@ import pytest
 from adaptive_nmpc import cli, harness, transcription
 from adaptive_nmpc.adaptation import LINEAR_Q_MAX
 from adaptive_nmpc.cli import main, read_simlog_csv, render_table, write_report_csv, write_simlog_csv
+from adaptive_nmpc.controller import ControllerConfig
 from adaptive_nmpc.harness import Cell, CellResult, MetricsReport, SimLog
 from adaptive_nmpc.trajectories import ReferenceTrajectory, preset
 from helpers import SATURATED_BOX
@@ -139,10 +140,9 @@ class TestSimulate:
             [
                 "simulate",
                 "--trajectory", "circle",
-                "--mode", "fixed",
+                "--mode", "adaptive",
                 "--lambda", "1.0",
                 "--horizon", "8",
-                "--seed", "7",
                 "--out", str(out),
             ]
         )
@@ -150,7 +150,7 @@ class TestSimulate:
         assert (out / "log.csv").exists()
         assert (out / "summary.json").exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["seed"] == 7
+        assert "seed" not in summary  # a noise-free run draws no seed
         assert summary["e"] >= 0.0
         assert summary["config"]["horizon"] == 8
 
@@ -207,6 +207,7 @@ class TestSimulate:
             ("time", "sample times are not uniformly spaced by dt"),
             ("short row", "{} line 7: expected 15 fields, got 2"),
             ("non-numeric field", "{} line 7: could not convert string to float: 'x'"),
+            ("one row", "trajectory CSV {} needs at least 2 data rows"),
         ],
     )
     def test_file_trajectory_validated(self, tmp_path, capsys, corrupt, message):
@@ -223,6 +224,8 @@ class TestSimulate:
         edit = {"short row": short_row, "non-numeric field": non_numeric}.get(corrupt)
         if edit is not None:
             traj_path.write_text("".join(edit_line(traj_path.read_text().splitlines(True), 7, edit)))
+        elif corrupt == "one row":
+            traj_path.write_text("".join(traj_path.read_text().splitlines(True)[:2]))  # the header and one row
         rc = main(["simulate", "--trajectory", f"file:{traj_path}", "--horizon", "8", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert f"error: {message.format(traj_path)}" in capsys.readouterr().err
@@ -236,26 +239,73 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: unexpected trajectory CSV header [] in {traj_path}\n"
         assert not (tmp_path / "x" / "log.csv").exists()
 
-    def test_file_trajectory_dt_must_match(self, tmp_path, capsys):
+    def test_file_trajectory_runs_at_its_own_sample_time(self, tmp_path):
+        traj = preset("circle", dt=0.02)
         traj_path = tmp_path / "c02.csv"
-        preset("circle", dt=0.02).to_csv(traj_path)
-        rc = main(["simulate", "--trajectory", f"file:{traj_path}", "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert "error: trajectory sample time 0.02 differs from the controller dt 0.05" in capsys.readouterr().err
-        assert not (tmp_path / "x" / "log.csv").exists()
+        traj.to_csv(traj_path)
+        out = tmp_path / "run"
+        assert main(["simulate", "--trajectory", f"file:{traj_path}", "--horizon", "8", "--out", str(out)]) == 0
+        _, data = read_simlog_csv(out / "log.csv")
+        log = harness.run_closed_loop(traj, ControllerConfig(horizon=8, dt=0.02))
+        assert np.array_equal(data[:, 0], traj.ts)
+        assert np.array_equal(data[:, 1:4], log.x_true[:, 0:3])
 
-    def test_fixed_mode_checks_adaptive_inputs(self, tmp_path, capsys):
-        rc = main(["simulate", "--mode", "fixed", "--lambda", "-1", "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert "error: lam must be positive, got -1.0" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
-    def test_sub_horizon_above_horizon_rejected(self, tmp_path, capsys, mode):
-        args = ["--mode", mode, "--horizon", "8", "--sub-horizon", "25", "--out", str(tmp_path / "x")]
+    def test_sub_horizon_above_horizon_rejected(self, tmp_path, capsys):
+        args = ["--mode", "adaptive", "--horizon", "8", "--sub-horizon", "25", "--out", str(tmp_path / "x")]
         assert main(["simulate", *args]) == 1
         assert capsys.readouterr().err == "error: sub-horizon 25 exceeds horizon 8\n"
         assert not (tmp_path / "x").exists()
+
+    def test_fixed_mode_runs_below_the_default_sub_horizon(self, tmp_path):
+        # a fixed-weight run never reads the sub-horizon, so the default 8 does not bound its horizon
+        out = tmp_path / "run"
+        assert main(["simulate", "--mode", "fixed", "--horizon", "4", "--out", str(out)]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config == {"horizon": 4, "mode": "fixed", "noise_sigma": 0.0, "trajectory": "circle"}
+
+    @pytest.mark.parametrize("via", ["flag", "key"])
+    @pytest.mark.parametrize(
+        "key, value, context",
+        [
+            ("lambda", 2.0, ["--mode", "fixed"]),
+            ("variant", "linear", ["--mode", "fixed"]),
+            ("sub_horizon", 4, ["--mode", "fixed"]),
+            ("seed", 7, ["--mode", "adaptive"]),  # no noise, so no draw
+        ],
+    )
+    def test_rejects_settings_its_run_never_reads(self, tmp_path, capsys, via, key, value, context):
+        out = tmp_path / "x"
+        if via == "flag":
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", *context, flag, str(value), "--out", str(out)])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == f"error: argument {flag}: not read by this command\n"
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({key: value}))
+            assert main(["simulate", *context, "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: config key {key!r} is not read by this command\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--trajectory", "circle", "--horizon", "8"],
+            ["--trajectory", "diamond", "--mode", "adaptive", "--variant", "linear", "--lambda", "0.5",
+             "--horizon", "8", "--sub-horizon", "4", "--noise-sigma", "1.5", "--seed", "13"],
+        ],
+        ids=["fixed", "adaptive-noisy"],
+    )
+    def test_summary_config_replays(self, tmp_path, args):
+        # the recorded config holds exactly the settings the run read, so --config accepts it as it is
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["simulate", *args, "--out", str(first)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(json.loads((first / "summary.json").read_text())["config"]))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(replay)]) == 0
+        for name in ("log.csv", "summary.json"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
 
     @pytest.mark.parametrize(
         "flag, key, value",
@@ -263,8 +313,6 @@ class TestSimulate:
             ("--noise-sigma", "noise_sigma", "nan"),
             ("--lambda", "lambda", "nan"),
             ("--lambda", "lambda", "inf"),
-            ("--dt", "dt", "nan"),
-            ("--alpha", "alpha", "nan"),
         ],
     )
     def test_non_finite_flag_rejected(self, tmp_path, capsys, flag, key, value):
@@ -274,7 +322,7 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
-        rc = main(["simulate", "--seed", "-1", "--out", str(tmp_path / "x")])
+        rc = main(["simulate", "--noise-sigma", "1", "--seed", "-1", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
@@ -338,7 +386,8 @@ _HORIZON_ONE = {
 
 
 @pytest.mark.parametrize(
-    "case", ["bad trajectory header", "trajectory dt", "bad worker cap", "gamma key", "alternations key", *_HORIZON_ONE]
+    "case",
+    ["bad trajectory header", "bad worker cap", "gamma key", "alternations key", "alpha key", "dt key", *_HORIZON_ONE],
 )
 def test_failure_before_first_artifact_leaves_no_directory(tmp_path, monkeypatch, capsys, case):
     traj_path = tmp_path / "tr.csv"
@@ -346,16 +395,12 @@ def test_failure_before_first_artifact_leaves_no_directory(tmp_path, monkeypatch
         traj_path.write_text("a,b,c\n")
         argv = ["simulate", "--trajectory", f"file:{traj_path}"]
         message = f"unexpected trajectory CSV header ['a', 'b', 'c'] in {traj_path}"
-    elif case == "trajectory dt":
-        preset("circle", dt=0.02).to_csv(traj_path)
-        argv = ["simulate", "--trajectory", f"file:{traj_path}"]
-        message = "trajectory sample time 0.02 differs from the controller dt 0.05"
     elif case == "bad worker cap":
         monkeypatch.setenv(harness.THREADS_ENV, "abc")
         monkeypatch.setattr(harness, "run_cell", lambda *args: pytest.fail("a cell ran"))
         argv = ["table", "--table", "3", "--runs", "1"]
         message = "ADAPTIVE_NMPC_THREADS must be an integer, got 'abc'"
-    elif case in ("gamma key", "alternations key"):
+    elif case.endswith(" key"):
         key = case.split()[0]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: 0.0}))
@@ -372,7 +417,7 @@ def test_failure_before_first_artifact_leaves_no_directory(tmp_path, monkeypatch
 class TestConfigFile:
     def test_precedence_defaults_file_flags(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"trajectory": "diamond", "horizon": 8, "lambda": 2.5}))
+        cfg_path.write_text(json.dumps({"trajectory": "diamond", "mode": "adaptive", "horizon": 8, "lambda": 2.5}))
         out = tmp_path / "run"
         rc = main(
             [
@@ -387,7 +432,7 @@ class TestConfigFile:
         assert summary["config"]["trajectory"] == "circle"
         assert summary["config"]["horizon"] == 8  # from file
         assert summary["config"]["lambda"] == 2.5
-        assert summary["config"]["dt"] == 0.05  # default
+        assert summary["config"]["sub_horizon"] == 8  # default
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -418,7 +463,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, value", [("noise_sigma", float("nan")), ("lambda", float("inf"))])
     def test_non_finite_value_rejected(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({key: value}))  # json writes NaN and Infinity, and reads them back
+        # json writes NaN and Infinity, and reads them back
+        cfg_path.write_text(json.dumps({key: value, "mode": "adaptive"}))
         rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert rc == 1
         assert f"error: {key} must be finite, got {value!r}" in capsys.readouterr().err
@@ -448,9 +494,27 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: config file {cfg_path} must hold a JSON object\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            (["simulate"], "mode", "hover", "mode must be 'fixed' or 'adaptive', got 'hover'"),
+            (["simulate"], "trajectory", "square",
+             f"trajectory must be a preset {cli.PRESET_NAMES} or 'file:<path>', got 'square'"),
+            (["simulate"], "noise_sigma", -1.0, "noise-sigma must be non-negative"),
+            (["table", "--table", "3"], "runs", 0, "runs must be >= 1"),
+        ],
+    )
+    def test_invalid_value_rejected(self, tmp_path, monkeypatch, capsys, command, key, value, message):
+        monkeypatch.setattr(cli, "run_experiment_grid", lambda *args, **kwargs: pytest.fail("table ran"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_int_accepted_for_float_key(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"lambda": 2, "noise_sigma": 0}))
+        cfg_path.write_text(json.dumps({"mode": "adaptive", "lambda": 2, "noise_sigma": 0}))
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg_path), "--horizon", "8", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -539,11 +603,17 @@ class TestPlotdata:
             (lambda lines: lines[:2], "alone", "log CSV {} has no rows"),  # the config line and the header
             (lambda lines: ["# config: {bad\n", *lines[1:]], "after",
              "{} line 1: the config is not valid JSON (Expecting property name enclosed in double quotes)"),
+            (lambda lines: ["# config: [1, 2]\n", *lines[1:]], "after", "{} line 1: the config must be a JSON object"),
+            (lambda lines: ["# config: null\n", *lines[1:]], "alone", "{} line 1: the config must be a JSON object"),
+            (lambda lines: lines[:-1], "after", "logs have differing lengths [5, 6]; cannot merge"),
+            (lambda lines: edit_line(lines, 4, lambda fields: ["9.0", *fields[1:]]), "before",
+             "logs have differing time bases; cannot merge"),
             (lambda lines: edit_line(lines, 5, short_row), "after", "{} line 5: expected 23 fields, got 2"),
             (lambda lines: edit_line(lines, 4, non_numeric), "before",
              "{} line 4: could not convert string to float: 'x'"),
         ],
-        ids=["empty-second", "empty-first", "header-only", "bad-config-json", "short-row", "non-numeric-field"],
+        ids=["empty-second", "empty-first", "header-only", "bad-config-json", "config-list", "config-null",
+             "differing-lengths", "differing-time-bases", "short-row", "non-numeric-field"],
     )
     def test_unreadable_log_writes_nothing(self, tmp_path, capsys, corrupt, order, message):
         good = random_log_csv(tmp_path / "run" / "log.csv")
@@ -618,7 +688,8 @@ class TestTableCommand:
         assert main(args) == 0
         assert [g.runs for g in grids] == [expected]
         report = (out / f"table{table}_report.csv").read_text()
-        assert json.loads(report.splitlines()[0][len("# config:") :])["runs"] == expected
+        # only Table 3 reads, and so records, its runs
+        assert json.loads(report.splitlines()[0][len("# config:") :]).get("runs") == (expected if table == 3 else None)
 
     @pytest.mark.slow
     def test_table2_marks_skipped_cells(self, tmp_path):
@@ -642,6 +713,8 @@ class TestTableCommand:
             ("--noise-sigma", "2.0"),
             ("--gamma", "0.5"),
             ("--alternations", "2"),
+            ("--alpha", "1.0"),
+            ("--dt", "0.05"),
         ],
     )
     def test_rejects_flags_it_never_reads(self, tmp_path, no_run, flag, value):
@@ -682,7 +755,6 @@ class TestTableCommand:
         [
             ("--lambda", "-1", "lam must be positive, got -1.0"),
             ("--sub-horizon", "0", "sub_horizon must be >= 1, got 0"),
-            ("--alpha", "0", "alpha must be in (0, 1], got 0.0"),
         ],
     )
     def test_checks_inputs_before_any_cell_runs(self, tmp_path, no_run, capsys, flag, value, message):
@@ -695,8 +767,8 @@ class TestTableCommand:
         "table, flag, value, message",
         [
             (3, "--lambda", "nan", "lambda must be finite, got nan"),
-            (1, "--alpha", "inf", "alpha must be finite, got inf"),
-            (2, "--dt", "nan", "dt must be finite, got nan"),
+            (1, "--horizon", "1", "horizon must be >= 2, got 1"),
+            (2, "--lambda", "inf", "lambda must be finite, got inf"),
             (3, "--seed", "-1", "seed must be >= 0, got -1"),
         ],
     )
@@ -722,21 +794,24 @@ class TestTableCommand:
         assert capsys.readouterr().err == f"error: sub-horizon {sub_horizon} exceeds horizon {horizon}\n"
         assert not (tmp_path / "t").exists()
 
-    @pytest.mark.parametrize("table, runs", [(1, 1), (2, 1), (3, 15)])
-    def test_default_config_header(self, tmp_path, monkeypatch, table, runs):
+    @pytest.mark.parametrize(
+        "table, header",
+        [
+            (1, '{"horizon": 19, "table": 1, "variant": "exp"}'),
+            (2, '{"lambda": 1.0, "table": 2, "variant": "exp"}'),
+            (3, '{"horizon": 19, "lambda": 1.0, "runs": 15, "seed": 0, "sub_horizon": 8, "table": 3, "variant": "exp"}'),
+        ],
+        ids=["1", "2", "3"],
+    )
+    def test_default_config_header(self, tmp_path, monkeypatch, table, header):
         def fake_grid(grid, base, seed=0, max_workers=None):
             return [CellResult(c, "ok", MetricsReport(e=1.0, tv=1.0, e_r=1.0), [1.0]) for c in grid.cells()]
 
         monkeypatch.setattr(cli, "run_experiment_grid", fake_grid)
         out = tmp_path / "t"
         assert main(["table", "--table", str(table), "--out", str(out)]) == 0
-        header = (
-            '# config: {"alpha": 1.0, "dt": 0.05, "horizon": 19, "lambda": 1.0, '
-            f'"mode": "fixed", "noise_sigma": 0.0, "runs": {runs}, "seed": 0, "sub_horizon": 8, "table": {table}, '
-            '"trajectory": "circle", "variant": "exp"}'
-        )
         for name in (f"table{table}_report.csv", f"table{table}.txt"):
-            assert (out / name).read_text().splitlines()[0] == header
+            assert (out / name).read_text().splitlines()[0] == "# config: " + header
 
     def test_invalid_table_id(self):
         with pytest.raises(SystemExit) as exc:

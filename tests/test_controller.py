@@ -129,14 +129,14 @@ class TestTick:
         # magnitude against the closed form: q = exp(sum_k v_k / (2 lam)),
         # from the prediction the first tick builds out of its window
         pred = PredictionTrajectory(win.xs[: N + 1], win.us[:N])
-        prob = build_qp(pred, win, st.weights, x_meas, cfg.limits, cfg.alpha, cfg.dt)
+        prob = build_qp(pred, win, st.weights, x_meas, cfg.limits, controller.ALPHA, cfg.dt)
         from adaptive_nmpc.transcription import apply_step, solve_qp
         from adaptive_nmpc.adaptation import compute_v
 
         sol = solve_qp(prob)
-        stepped = apply_step(pred, sol, cfg.alpha, cfg.limits)
+        stepped = apply_step(pred, sol, controller.ALPHA, cfg.limits)
         resid = stepped.xs[:5] - win.xs[:5]
-        v = compute_v(resid, prob.lx[:5], cfg.alpha).sum(axis=0)
+        v = compute_v(resid, prob.lx[:5], controller.ALPHA).sum(axis=0)
         expected_q = np.maximum(update_weights(v, cfg.adapt), 0.0)
         np.testing.assert_allclose(st2.weights.q, expected_q, atol=1e-12)
         # closed form written out: q = exp(min(sum v / (2 lam), clamp))
@@ -429,11 +429,12 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             ControllerConfig(alternations=2)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, float("nan")])
-    def test_alpha_outside_unit_interval_rejected(self, alpha):
-        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
-            ControllerConfig(alpha=alpha)
-        assert ControllerConfig(alpha=0.5).alpha == 0.5
+    def test_alpha_is_not_a_setting(self):
+        # every tick takes the full Newton step, controller.ALPHA
+        assert "alpha" not in {f.name for f in dataclasses.fields(ControllerConfig)}
+        assert controller.ALPHA == 1.0
+        with pytest.raises(TypeError):
+            ControllerConfig(alpha=0.5)
 
 
 class TestConfigValue:

@@ -4,7 +4,11 @@
 #             (lambda 0.01), agg2 with noise sigma 2 and seed 3, and a
 #             circle read back from a CSV file written by to_csv;
 #   table:    tables 1 and 2, and table 3 at two runs per cell;
-#   plotdata: the agg1 fixed and agg1 exp logs side by side.
+#   plotdata: the agg1 fixed and agg1 exp logs side by side;
+#   replay:   agg2 with noise again, from the config in its summary.json
+#             (written to agg2_replay/config.json) into agg2_replay; the
+#             exit code of `cmp` of the two log.csv files goes to
+#             exit_codes.txt as agg2_replay_cmp.
 # Every path the commands see is relative to OUT, so two checkouts' outputs
 # compare byte for byte with `diff -r OUT_A OUT_B`. Each command's exit code
 # goes to OUT/exit_codes.txt; a failing command does not stop the rest.
@@ -40,3 +44,10 @@ run table1 table --table 1 --out table1
 run table2 table --table 2 --out table2
 run table3 table --table 3 --runs 2 --out table3
 run plot plotdata --log agg1_fixed/log.csv --log agg1_exp/log.csv --out plots
+
+mkdir -p agg2_replay
+python3 -c 'import json; json.dump(json.load(open("agg2_noise/summary.json"))["config"], open("agg2_replay/config.json", "w"))' || :
+run agg2_replay simulate --config agg2_replay/config.json --out agg2_replay
+rc=0
+cmp agg2_noise/log.csv agg2_replay/log.csv > /dev/null 2>&1 || rc=$?
+echo "agg2_replay_cmp $rc" >> exit_codes.txt
