@@ -9,8 +9,8 @@ plotdata   convert simulation logs into aligned column files for plotting
 
 A command takes, and every artifact records, exactly the settings its run
 reads; setting any other one is an error. Output is deterministic, and a
-``simulate`` record is a valid ``--config`` file: feeding it back reproduces
-byte-identical files. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+``simulate`` or ``table`` record is a ``--config`` file that replays its run
+byte for byte. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 ``ADAPTIVE_NMPC_THREADS`` caps grid parallelism.
 """
 
@@ -179,8 +179,10 @@ def resolve_config(args: argparse.Namespace, spec: TableSpec | None = None) -> R
     cfg = RunConfig() if spec is None else RunConfig(runs=spec.runs)
     data = {}
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as err:
+            raise ValueError(f"config file {args.config} is not valid JSON ({err.msg})") from None
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
     by_key = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(RunConfig)}
@@ -374,11 +376,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     out = Path(cfg.out)
     results = run_experiment_grid(grid, base, seed=cfg.seed)
 
-    echo = {**cfg.echo(spec), "table": args.table}
+    echo = cfg.echo(spec)
     write_report_csv(results, out / f"table{args.table}_report.csv", echo)
 
-    text = render_table(results, list(spec.values), spec.label, noise=spec.noise)
-    text = _config_header(echo) + "\n" + text
+    text = _config_header(echo) + "\n" + render_table(results, list(spec.values), spec.label, noise=spec.noise)
     (out / f"table{args.table}.txt").write_text(text)
     print(text)
     return 1 if any(r.status == "failed" for r in results) else 0

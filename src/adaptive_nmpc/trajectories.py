@@ -107,11 +107,10 @@ class ReferenceTrajectory:
     def from_csv(cls, path: str | Path) -> "ReferenceTrajectory":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            rows = ((reader.line_num, row) for row in reader if not (row and row[0].startswith("#")))
-            header = next(rows, (0, []))[1]
+            header = next(reader, [])
             if tuple(header) != CSV_COLUMNS:
                 raise ValueError(f"unexpected trajectory CSV header {header} in {path}")
-            data = read_float_rows(rows, path, len(CSV_COLUMNS))
+            data = read_float_rows(((reader.line_num, row) for row in reader), path, len(CSV_COLUMNS))
         if data.shape[0] < 2:
             raise ValueError(f"trajectory CSV {path} needs at least 2 data rows")
         traj = cls(data[:, 0], data[:, 1:11], data[:, 11:15], Path(path).stem)

@@ -10,7 +10,9 @@ untraced round of ``track`` (the workload of the paper's nominal case), the
 set-up of ``noise-sweep`` and, marked ``slow``, one untraced round of
 ``noise-sweep`` (its pool patch of ``harness.ProcessPoolExecutor``,
 ``run_experiment_grid``'s ``max_workers``, the report writer and the Table 3
-renderer). Not run here: a traced ``track`` round, an untraced ``saturated``
+renderer). A fast test keeps the call that pool patch replaces,
+``harness.ProcessPoolExecutor(max_workers=N)`` used as a context manager,
+without a process pool. Not run here: a traced ``track`` round, an untraced ``saturated``
 round and the traced ``noise-sweep`` (its serial column). They write only
 under ``perfbench/out/``.
 
@@ -76,6 +78,36 @@ def test_noise_sweep_setup_runs():
     proc = run(str(PERFBENCH / "run.py"), "--workload", "noise-sweep", "--setup-only")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert float(proc.stdout.split()[-1]) > 0.0
+
+
+def test_grid_pool_is_created_as_the_benchmark_patches_it(monkeypatch):
+    # PoolProbe replaces exactly harness.ProcessPoolExecutor(max_workers=N), used as a context manager;
+    # a stand-in that maps in this process must give what the serial path gives
+    events = []
+
+    class SerialPool:
+        def __init__(self, *args, **kwargs):
+            events.append(("create", args, kwargs))
+
+        def __enter__(self):
+            events.append("enter")
+            return self
+
+        def __exit__(self, *exc):
+            events.append("exit")
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.delenv(harness.THREADS_ENV, raising=False)
+    grid = harness.GridSpec(("circle",), horizons=(8,), sub_horizons=(4,), sigmas=(1.0,))
+    base = ControllerConfig(horizon=8)
+    serial = harness.run_experiment_grid(grid, base, seed=3, max_workers=1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    pooled = harness.run_experiment_grid(grid, base, seed=3, max_workers=2)
+    assert events == [("create", (), {"max_workers": 2}), "enter", "exit"]
+    assert pooled == serial
+    assert [r.status for r in serial] == ["ok", "ok"]
 
 
 @pytest.mark.slow

@@ -208,6 +208,7 @@ class TestSimulate:
             ("short row", "{} line 7: expected 15 fields, got 2"),
             ("non-numeric field", "{} line 7: could not convert string to float: 'x'"),
             ("one row", "trajectory CSV {} needs at least 2 data rows"),
+            ("comment row", "{} line 7: expected 15 fields, got 1"),
         ],
     )
     def test_file_trajectory_validated(self, tmp_path, capsys, corrupt, message):
@@ -226,6 +227,9 @@ class TestSimulate:
             traj_path.write_text("".join(edit_line(traj_path.read_text().splitlines(True), 7, edit)))
         elif corrupt == "one row":
             traj_path.write_text("".join(traj_path.read_text().splitlines(True)[:2]))  # the header and one row
+        elif corrupt == "comment row":
+            lines = traj_path.read_text().splitlines(True)
+            traj_path.write_text("".join([*lines[:6], "# a comment\n", *lines[6:]]))
         rc = main(["simulate", "--trajectory", f"file:{traj_path}", "--horizon", "8", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert f"error: {message.format(traj_path)}" in capsys.readouterr().err
@@ -486,12 +490,22 @@ class TestConfigFile:
         assert "unknown config key 'lam'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["simulate"], ["table", "--table", "3"]])
-    @pytest.mark.parametrize("value", [[1, 2], None])
-    def test_non_object_file_rejected(self, tmp_path, capsys, command, value):
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[1, 2]", "must hold a JSON object"),
+            ("null", "must hold a JSON object"),
+            ("{bad", "is not valid JSON (Expecting property name enclosed in double quotes)"),
+            ("", "is not valid JSON (Expecting value)"),
+        ],
+        ids=["list", "null", "malformed", "empty"],
+    )
+    def test_unusable_file_rejected(self, tmp_path, monkeypatch, capsys, command, text, reason):
+        monkeypatch.setattr(cli, "run_experiment_grid", lambda *args, **kwargs: pytest.fail("table ran"))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(value))
+        cfg_path.write_text(text)
         assert main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
-        assert capsys.readouterr().err == f"error: config file {cfg_path} must hold a JSON object\n"
+        assert capsys.readouterr().err == f"error: config file {cfg_path} {reason}\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
@@ -794,24 +808,62 @@ class TestTableCommand:
         assert capsys.readouterr().err == f"error: sub-horizon {sub_horizon} exceeds horizon {horizon}\n"
         assert not (tmp_path / "t").exists()
 
+    @pytest.fixture
+    def fake_run(self, monkeypatch):
+        """Replace the grid by one whose every cell reports, in e, the seed and runs it was given."""
+
+        def fake_grid(grid, base, seed=0, max_workers=None):
+            rep = MetricsReport(e=seed + grid.runs / 100, tv=1.0, e_r=1.0)
+            return [CellResult(c, "ok", rep, [1.0]) for c in grid.cells()]
+
+        monkeypatch.setattr(cli, "run_experiment_grid", fake_grid)
+
+    @staticmethod
+    def record(out, table):
+        """The settings a table's report records, as the text of a config file."""
+        return (out / f"table{table}_report.csv").read_text().splitlines()[0][len("# config: ") :]
+
     @pytest.mark.parametrize(
         "table, header",
         [
-            (1, '{"horizon": 19, "table": 1, "variant": "exp"}'),
-            (2, '{"lambda": 1.0, "table": 2, "variant": "exp"}'),
-            (3, '{"horizon": 19, "lambda": 1.0, "runs": 15, "seed": 0, "sub_horizon": 8, "table": 3, "variant": "exp"}'),
+            (1, '{"horizon": 19, "variant": "exp"}'),
+            (2, '{"lambda": 1.0, "variant": "exp"}'),
+            (3, '{"horizon": 19, "lambda": 1.0, "runs": 15, "seed": 0, "sub_horizon": 8, "variant": "exp"}'),
         ],
         ids=["1", "2", "3"],
     )
-    def test_default_config_header(self, tmp_path, monkeypatch, table, header):
-        def fake_grid(grid, base, seed=0, max_workers=None):
-            return [CellResult(c, "ok", MetricsReport(e=1.0, tv=1.0, e_r=1.0), [1.0]) for c in grid.cells()]
-
-        monkeypatch.setattr(cli, "run_experiment_grid", fake_grid)
+    def test_default_config_header(self, tmp_path, fake_run, table, header):
         out = tmp_path / "t"
         assert main(["table", "--table", str(table), "--out", str(out)]) == 0
         for name in (f"table{table}_report.csv", f"table{table}.txt"):
             assert (out / name).read_text().splitlines()[0] == "# config: " + header
+
+    @pytest.mark.parametrize(
+        "table, flags",
+        [
+            (1, ["--horizon", "8", "--variant", "linear"]),
+            (2, ["--lambda", "0.5"]),
+            (3, ["--runs", "2", "--seed", "5", "--lambda", "0.5", "--horizon", "10", "--sub-horizon", "4"]),
+        ],
+        ids=["1", "2", "3"],
+    )
+    def test_record_replays(self, tmp_path, fake_run, table, flags):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["table", "--table", str(table), *flags, "--out", str(first)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(self.record(first, table))
+        assert main(["table", "--table", str(table), "--config", str(cfg_path), "--out", str(replay)]) == 0
+        for name in (f"table{table}_report.csv", f"table{table}.txt"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+    def test_record_of_another_table_rejected(self, tmp_path, fake_run, capsys):
+        assert main(["table", "--table", "3", "--out", str(tmp_path / "t3")]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(self.record(tmp_path / "t3", 3))
+        capsys.readouterr()
+        assert main(["table", "--table", "1", "--config", str(cfg_path), "--out", str(tmp_path / "t1")]) == 1
+        assert capsys.readouterr().err == "error: config key 'lambda' is not read by this command\n"
+        assert not (tmp_path / "t1").exists()
 
     def test_invalid_table_id(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptive_nmpc.dynamics import GRAVITY, QUADROTOR, ControlLimits, _rotate
+from adaptive_nmpc.dynamics import GRAVITY, QUADROTOR, ControlLimits
 from adaptive_nmpc.trajectories import (
     _COURSES,
     PRESET_NAMES,
@@ -10,7 +10,7 @@ from adaptive_nmpc.trajectories import (
     derive_reference_controls,
     preset,
 )
-from helpers import hamilton_product, in_box
+from helpers import hamilton_product, in_box, quat_to_rotmat
 
 DT = 0.05
 
@@ -91,7 +91,7 @@ class TestAggressive:
         tr = preset("agg1", dt=DT)
         joint = int(round(times[0] / DT))
         c, q = tr.us[joint, 0], tr.xs[joint, 6:10]
-        acc = _rotate(q, np.array([0, 0, c])) + [0, 0, -GRAVITY]
+        acc = quat_to_rotmat(q) @ [0, 0, c] + [0, 0, -GRAVITY]
         assert np.linalg.norm(acc) < 1e-9
         assert np.linalg.norm(tr.xs[joint, 3:6]) < 1e-9
 

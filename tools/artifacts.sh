@@ -6,9 +6,12 @@
 #   table:    tables 1 and 2, and table 3 at two runs per cell;
 #   plotdata: the agg1 fixed and agg1 exp logs side by side;
 #   replay:   agg2 with noise again, from the config in its summary.json
-#             (written to agg2_replay/config.json) into agg2_replay; the
-#             exit code of `cmp` of the two log.csv files goes to
-#             exit_codes.txt as agg2_replay_cmp.
+#             (written to agg2_replay/config.json) into agg2_replay, and
+#             table 3 again, from the `# config:` line of its report
+#             (written to table3_replay/config.json) into table3_replay;
+#             the exit code of `cmp` of each pair of files, log.csv and
+#             table3_report.csv, goes to exit_codes.txt as agg2_replay_cmp
+#             and table3_replay_cmp.
 # Every path the commands see is relative to OUT, so two checkouts' outputs
 # compare byte for byte with `diff -r OUT_A OUT_B`. Each command's exit code
 # goes to OUT/exit_codes.txt; a failing command does not stop the rest.
@@ -45,9 +48,17 @@ run table2 table --table 2 --out table2
 run table3 table --table 3 --runs 2 --out table3
 run plot plotdata --log agg1_fixed/log.csv --log agg1_exp/log.csv --out plots
 
-mkdir -p agg2_replay
+# compare: NAME FILE_A FILE_B, the exit code of `cmp` as NAME in exit_codes.txt
+compare() {
+    rc=0
+    cmp "$2" "$3" > /dev/null 2>&1 || rc=$?
+    echo "$1 $rc" >> exit_codes.txt
+}
+
+mkdir -p agg2_replay table3_replay
 python3 -c 'import json; json.dump(json.load(open("agg2_noise/summary.json"))["config"], open("agg2_replay/config.json", "w"))' || :
 run agg2_replay simulate --config agg2_replay/config.json --out agg2_replay
-rc=0
-cmp agg2_noise/log.csv agg2_replay/log.csv > /dev/null 2>&1 || rc=$?
-echo "agg2_replay_cmp $rc" >> exit_codes.txt
+compare agg2_replay_cmp agg2_noise/log.csv agg2_replay/log.csv
+sed -n '1s/^# config: //p' table3/table3_report.csv > table3_replay/config.json || :
+run table3_replay table --table 3 --config table3_replay/config.json --out table3_replay
+compare table3_replay_cmp table3/table3_report.csv table3_replay/table3_report.csv

@@ -12,11 +12,13 @@
 #                                 copies of the first two proof sets without
 #                                 `# config:` lines, without `config` and
 #                                 `seed` in each summary.json, and without
-#                                 the agg2 replay, which replays a recorded
-#                                 config and so stands or falls with it.
+#                                 the replays (every `*_replay` directory,
+#                                 stdout file and exit code), which replay a
+#                                 recorded config and so stand or fall with it.
 # The first three run with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS unset.
-# Prints `diff -r` of each pair (parent and working tree, the stripped
-# copies, default and one BLAS thread) and a verdict line. It exits 1 on
+# Prints the line count of src/adaptive_nmpc/*.py on both sides, `diff -r`
+# of each pair (parent and working tree, the stripped copies, default and
+# one BLAS thread) and a verdict line. It exits 1 on
 # any difference, and also when a command of the working tree's
 # proof set exits non-zero, naming it: two sides that fail alike would
 # otherwise compare clean. A change to what a command records shows in the
@@ -48,8 +50,8 @@ OPENBLAS_NUM_THREADS=1 sh "$root/tools/artifacts.sh" "$out/work_artifacts_1threa
 # copy proof set $1 to $2 without what records a command's config
 strip_records() {
     cp -r "$1" "$2"
-    rm -rf "$2/agg2_replay" "$2/agg2_replay.stdout"
-    sed -i '/^agg2_replay/d' "$2/exit_codes.txt"
+    rm -rf "$2"/*_replay "$2"/*_replay.stdout
+    sed -i '/^[^ ]*_replay/d' "$2/exit_codes.txt"
     find "$2" -type f ! -name '*.json' -exec sed -i '/^# config:/d' {} +
     find "$2" -name summary.json -exec python3 -c '
 import json, sys
@@ -63,6 +65,8 @@ for path in sys.argv[1:]:
 strip_records "$out/parent_artifacts" "$out/parent_stripped"
 strip_records "$out/work_artifacts" "$out/work_stripped"
 
+echo "lines of src/adaptive_nmpc/*.py: $(cat "$out"/parent/src/adaptive_nmpc/*.py | wc -l) at $1," \
+    "$(cat "$root"/src/adaptive_nmpc/*.py | wc -l) in the working tree"
 status=0
 if diff -r "$out/parent_artifacts" "$out/work_artifacts"; then
     echo "no difference between the proof sets of $1 and the working tree"
@@ -70,9 +74,9 @@ else
     status=1
 fi
 if diff -r "$out/parent_stripped" "$out/work_stripped"; then
-    echo "no difference between the proof sets of $1 and the working tree once config records and the replay are left out"
+    echo "no difference between the proof sets of $1 and the working tree once config records and the replays are left out"
 else
-    echo "the proof sets of $1 and the working tree differ beyond config records and the replay"
+    echo "the proof sets of $1 and the working tree differ beyond config records and the replays"
     status=1
 fi
 if diff -r "$out/work_artifacts" "$out/work_artifacts_1thread"; then
