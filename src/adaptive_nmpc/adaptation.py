@@ -2,7 +2,7 @@
 
 After each prediction step the per-dimension error products
 
-    v_k = (dx_k + alpha * l_k) (.) dx_k
+    v_k = (dx_k + l_k) (.) dx_k
 
 are accumulated over the sub-horizon and mapped to new diagonal state
 weights. The plain linear form ``q = sum(v) / (2*lam)`` is the exact
@@ -54,13 +54,13 @@ class AdaptConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
-def compute_v(dx_k: np.ndarray, l_k_state: np.ndarray, alpha: float) -> np.ndarray:
-    """Elementwise error product (dx_k + alpha * l_k) (.) dx_k."""
+def compute_v(dx_k: np.ndarray, l_k_state: np.ndarray) -> np.ndarray:
+    """Elementwise error product (dx_k + l_k) (.) dx_k."""
     dx_k = np.asarray(dx_k, dtype=float)
     l_k_state = np.asarray(l_k_state, dtype=float)
     if dx_k.shape != l_k_state.shape:
         raise ValueError(f"shape mismatch: {dx_k.shape} vs {l_k_state.shape}")
-    return (dx_k + alpha * l_k_state) * dx_k
+    return (dx_k + l_k_state) * dx_k
 
 
 def update_weights(v_sum, cfg: AdaptConfig) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 Each tick runs
 
-  Stage 1: up to ``ALTERNATIONS`` = 2 rounds of: linearize the prediction,
-           solve the stage-wise QP, take the Newton step scaled by ``ALPHA``;
-           stopping early once the step norm drops below ``CONV_TOL``;
+  Stage 1: ``ALTERNATIONS`` = 2 rounds of: linearize the prediction,
+           solve the stage-wise QP, take the full Newton step;
   Stage 2: (adaptive mode only) accumulate the error products of the
            final round over the sub-horizon and refresh the diagonal state
            weights once, clipped at zero.
@@ -39,13 +38,8 @@ from .transcription import (
     solve_qp,
 )
 
-#: Step norm below which a tick stops its alternation rounds early.
-CONV_TOL = 1e-4
-
-#: Alternation rounds a tick runs at most, and ALPHA, the fraction of each round's Newton step that is taken
-#: (it also scales the reference gradient in the weight update); constants, like CONV_TOL, not settings.
+#: Alternation rounds every tick runs; a constant, not a setting.
 ALTERNATIONS = 2
-ALPHA = 1.0
 
 
 #: The fixed-weight profile, and every run's weights before its first tick: a
@@ -60,12 +54,14 @@ class ControllerConfig:
     horizon: int = 19
     dt: float = 0.05
     adapt: AdaptConfig | None = None
-    limits: ControlLimits | None = ControlLimits()
+    limits: ControlLimits = ControlLimits()
     model: QuadrotorModel = QUADROTOR
     #: transcription.QP_TOL, the KKT tolerance every QP is certified against; not a field
     qp_tol = QP_TOL
 
     def __post_init__(self):
+        if not isinstance(self.limits, ControlLimits):
+            raise TypeError(f"limits must be a ControlLimits, got {self.limits!r}")
         if self.horizon < 2:
             raise ValueError(f"horizon must be >= 2, got {self.horizon}")
         if not self.dt > 0.0:
@@ -125,18 +121,15 @@ def nmpc_tick(
 
     try:
         for _ in range(ALTERNATIONS):
-            prob = build_qp(pred, refs, weights, x_meas, cfg.limits, ALPHA, cfg.dt, cfg.model)
+            prob = build_qp(pred, refs, weights, x_meas, cfg.limits, cfg.dt, cfg.model)
             sol = solve_qp(prob, active=active)
             active = sol.active
-            pred = apply_step(pred, sol, ALPHA, cfg.limits, cfg.model)
+            pred = apply_step(pred, sol, cfg.limits, cfg.model)
             diag.rounds.append(sol)
-            if sol.step_norm < CONV_TOL:
-                break
     except QpSolveError as err:
         diag.failed = True
         diag.message = str(err)
-        held = np.array(state.last_command if state.last_command is not None else refs.us[0], dtype=float)
-        command = cfg.limits.clamp(held) if cfg.limits is not None else held
+        command = cfg.limits.clamp(state.last_command if state.last_command is not None else refs.us[0])
         # prediction is stale after a failed solve: rebuild from refs next tick
         next_state = ControllerState(weights=state.weights, last_command=command)
         return command, next_state, diag
@@ -148,7 +141,7 @@ def nmpc_tick(
         # reference, with the pre-step error as the gradient anchor
         ns = cfg.adapt.sub_horizon
         resid = pred.xs[:ns] - refs.xs[:ns]
-        v_sum = compute_v(resid, prob.lx[:ns], ALPHA).sum(axis=0)
+        v_sum = compute_v(resid, prob.lx[:ns]).sum(axis=0)
         weights = WeightVector(np.maximum(update_weights(v_sum, cfg.adapt), 0.0), weights.r)
 
     # apply_step has already clamped the prediction's controls to the box

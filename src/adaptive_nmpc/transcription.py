@@ -2,16 +2,17 @@
 
 One prediction step solves, for fixed diagonal weights,
 
-    min   sum_k (dz_k + alpha*l_k)^T diag(q, r) dz_k   +  terminal state term
+    min   sum_k (dz_k + l_k)^T diag(q, r) dz_k   +  terminal state term
     s.t.  dx_1     = x_meas - x_pr_1
           dx_{k+1} = defect_k + A_k dx_k + B_k du_k
           u_min <= u_pr_k + du_k <= u_max
 
 with ``dz_k = [dx_k; du_k]`` and ``l_k`` the reference error of the current
-prediction. The QP is condensed once: the dynamics give every ``dx_k`` as
-an affine map of the stacked controls, which leaves a dense QP in the N*4
-controls alone, with Hessian ``H`` and gradient ``H du + g`` (Frison and
-Jorgensen, CDC 2013). The control boxes are handled by an active-set loop
+prediction. Every control has a box, and the step ``dz`` is taken in full.
+The QP is condensed once: the dynamics give every ``dx_k`` as an affine map
+of the stacked controls, which leaves a dense QP in the N*4 controls alone,
+with Hessian ``H`` and gradient ``H du + g`` (Frison and Jorgensen, CDC
+2013). The control boxes are handled by an active-set loop
 on that dense QP, as in qpOASES (Ferreau et al., Math. Prog. Comp. 2014):
 each working set holds some controls at a bound and solves one linear
 system in the free ones, then checks the bounds of the free controls and
@@ -110,8 +111,9 @@ class ShootingProblem:
     rs: np.ndarray  # (N, 4) per-stage control weights
     initial_gap: np.ndarray  # (10,)
     u_pred: np.ndarray  # (N, 4) predicted controls the box limits act on
-    limits: ControlLimits | None = ControlLimits()
-    alpha: float = 1.0
+    limits: ControlLimits
+    #: the fraction of the Newton step that is taken, always the full step; not a field
+    alpha = 1.0
 
     @property
     def horizon(self) -> int:
@@ -145,8 +147,7 @@ def build_qp(
     refs: ReferenceWindow,
     weights: WeightVector,
     x_meas: np.ndarray,
-    limits: ControlLimits | None,
-    alpha: float,
+    limits: ControlLimits,
     dt: float,
     model: QuadrotorModel = QUADROTOR,
 ) -> ShootingProblem:
@@ -172,7 +173,6 @@ def build_qp(
         initial_gap=x_meas - pred.xs[0],
         u_pred=pred.us.copy(),
         limits=limits,
-        alpha=alpha,
     )
 
 
@@ -254,13 +254,12 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
 
     ``active`` is the working set the active-set loop starts from, an
     ``(N, 4)`` array of -1 (held at the lower bound), 0 (free) or +1 (held
-    at the upper bound); None starts with every control free. It is
-    ignored when the problem has no limits. The clamp values always come
-    from the problem's own box. The solution carries the final working set
-    and the number of working sets the loop solved, at most
-    :data:`QP_MAX_ITER`. When the certificate fails or the loop does not
-    converge, the error names the largest-magnitude input as well, so a huge
-    measurement shows as a huge gap.
+    at the upper bound); None starts with every control free. The clamp
+    values always come from the problem's own box. The solution carries
+    the final working set and the number of working sets the loop solved,
+    at most :data:`QP_MAX_ITER`. When the certificate fails or the loop
+    does not converge, the error names the largest-magnitude input as well,
+    so a huge measurement shows as a huge gap.
 
     The reported residual is that of the weight-normalized problem (weights
     divided by their largest entry), which keeps the certificate meaningful
@@ -280,21 +279,17 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
     rs = prob.rs / scale
     if np.any(rs <= 0.0):
         raise QpSolveError("control weights must be positive")
-    qlin = prob.alpha * qs * prob.lx
-    rlin = prob.alpha * rs * prob.lu
+    qlin = qs * prob.lx
+    rlin = rs * prob.lu
 
     act = np.zeros((N, CONTROL_DIM), dtype=np.int8)
-    if prob.limits is None:
-        lo = np.full(prob.u_pred.shape, -np.inf)
-        hi = np.full(prob.u_pred.shape, np.inf)
-    else:
-        lo = np.broadcast_to(prob.limits.lower, prob.u_pred.shape) - prob.u_pred
-        hi = np.broadcast_to(prob.limits.upper, prob.u_pred.shape) - prob.u_pred
-        if active is not None:
-            active = np.asarray(active)
-            if active.shape != act.shape or np.any(np.abs(active) > 1):
-                raise ValueError(f"active set must be an {act.shape} array of -1, 0 or +1")
-            act[:] = active
+    lo = prob.limits.lower - prob.u_pred
+    hi = prob.limits.upper - prob.u_pred
+    if active is not None:
+        active = np.asarray(active)
+        if active.shape != act.shape or np.any(np.abs(active) > 1):
+            raise ValueError(f"active set must be an {act.shape} array of -1, 0 or +1")
+        act[:] = active
 
     G, H, g = _condense(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap)
 
@@ -351,13 +346,8 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
 def apply_step(
     pred: PredictionTrajectory,
     sol: QpSolution,
-    alpha: float,
-    limits: ControlLimits | None = None,
+    limits: ControlLimits,
     model: QuadrotorModel = QUADROTOR,
 ) -> PredictionTrajectory:
-    """Take the (partial) Newton step, renormalize attitudes, clamp controls."""
-    xs = model.project(pred.xs + alpha * sol.dx)
-    us = pred.us + alpha * sol.du
-    if limits is not None:
-        us = limits.clamp(us)
-    return PredictionTrajectory(xs, us)
+    """Take the full Newton step, renormalize attitudes, clamp controls to the box."""
+    return PredictionTrajectory(model.project(pred.xs + sol.dx), limits.clamp(pred.us + sol.du))

@@ -217,10 +217,10 @@ def dense_equality_qp(A, B, defects, qs, rs, qlin, rlin, gap):
 
 
 def qp_objective(prob, dx, du):
-    """Objective value sum_k (dz_k + alpha l_k)^T diag(q, r) dz_k, terminal included."""
+    """Objective value sum_k (dz_k + l_k)^T diag(q, r) dz_k, terminal included."""
     qs = np.maximum(prob.qs, Q_MIN)
-    val = float(np.sum((dx + prob.alpha * prob.lx) * qs * dx))
-    val += float(np.sum((du + prob.alpha * prob.lu) * prob.rs * du))
+    val = float(np.sum((dx + prob.lx) * qs * dx))
+    val += float(np.sum((du + prob.lu) * prob.rs * du))
     return val
 
 
@@ -262,13 +262,15 @@ def minimize_scalar_convex(f, lo, hi, h=1e-4, iters=100):
 
 
 class LinearModel:
-    """LTI test double for the transcription's model interface."""
+    """LTI test double for the transcription's model interface: ``x+ = A x + B (u - u_trim)``."""
 
-    def __init__(self, A, B):
+    def __init__(self, A, B, u_trim=0.0):
         self.A = np.asarray(A, dtype=float)
         self.B = np.asarray(B, dtype=float)
+        self.u_trim = np.asarray(u_trim, dtype=float)
 
     def step(self, x, u, dt):
+        u = u - self.u_trim
         if np.asarray(x).ndim > 1:
             return x @ self.A.T + u @ self.B.T
         return self.A @ x + self.B @ u

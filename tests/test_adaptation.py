@@ -25,13 +25,13 @@ class TestAdaptConfig:
 
 class TestComputeV:
     def test_zero_step_gives_zero(self):
-        assert np.array_equal(compute_v(np.zeros(10), np.ones(10), 1.0), np.zeros(10))
+        assert np.array_equal(compute_v(np.zeros(10), np.ones(10)), np.zeros(10))
 
     def test_simple_arithmetic(self):
         dx = np.zeros(10)
         lk = np.zeros(10)
         dx[0], lk[0] = 1.0, 1.0
-        v = compute_v(dx, lk, 1.0)
+        v = compute_v(dx, lk)
         assert v[0] == 2.0
         assert np.array_equal(v[1:], np.zeros(9))
 
@@ -40,13 +40,12 @@ class TestComputeV:
         for _ in range(50):
             dx = rng.standard_normal(10)
             lk = rng.standard_normal(10)
-            alpha = rng.uniform(0.1, 1.0)
-            expected = np.array([(dx[i] + alpha * lk[i]) * dx[i] for i in range(10)])
-            assert np.array_equal(compute_v(dx, lk, alpha), expected)
+            expected = np.array([(dx[i] + lk[i]) * dx[i] for i in range(10)])
+            assert np.array_equal(compute_v(dx, lk), expected)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compute_v(np.zeros(10), np.zeros(9), 1.0)
+            compute_v(np.zeros(10), np.zeros(9))
 
 
 class TestLinearUpdate:

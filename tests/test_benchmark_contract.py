@@ -2,8 +2,8 @@
 
 ``perfbench`` wraps and reads library names from outside (``harness.nmpc_tick``,
 ``harness.inject_noise``, ``QuadrotorModel.step``/``discretize``,
-``ShootingProblem.stages``, ``State.as_vector``, ``AdaptConfig(variant="exponential")``
-and more), so deleting or renaming one of them breaks the benchmark without
+``ShootingProblem.stages``, ``ShootingProblem.alpha``, ``State.as_vector``,
+``AdaptConfig(variant="exponential")`` and more), so deleting or renaming one of them breaks the benchmark without
 failing any other test. These runs each check the benchmark once: the
 self-test of its output checks, one traced round of ``saturated``, one
 untraced round of ``track`` (the workload of the paper's nominal case), the

@@ -129,14 +129,14 @@ class TestTick:
         # magnitude against the closed form: q = exp(sum_k v_k / (2 lam)),
         # from the prediction the first tick builds out of its window
         pred = PredictionTrajectory(win.xs[: N + 1], win.us[:N])
-        prob = build_qp(pred, win, st.weights, x_meas, cfg.limits, controller.ALPHA, cfg.dt)
+        prob = build_qp(pred, win, st.weights, x_meas, cfg.limits, cfg.dt)
         from adaptive_nmpc.transcription import apply_step, solve_qp
         from adaptive_nmpc.adaptation import compute_v
 
         sol = solve_qp(prob)
-        stepped = apply_step(pred, sol, controller.ALPHA, cfg.limits)
+        stepped = apply_step(pred, sol, cfg.limits)
         resid = stepped.xs[:5] - win.xs[:5]
-        v = compute_v(resid, prob.lx[:5], controller.ALPHA).sum(axis=0)
+        v = compute_v(resid, prob.lx[:5]).sum(axis=0)
         expected_q = np.maximum(update_weights(v, cfg.adapt), 0.0)
         np.testing.assert_allclose(st2.weights.q, expected_q, atol=1e-12)
         # closed form written out: q = exp(min(sum v / (2 lam), clamp))
@@ -148,7 +148,7 @@ class TestTick:
         ns = 4
         v_sum = np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, -1e-9, 7.0, -4.0, 0.5])
         per_stage = np.vstack([v_sum, np.zeros((ns - 1, 10))])
-        monkeypatch.setattr(controller, "compute_v", lambda resid, lx, alpha: per_stage)
+        monkeypatch.setattr(controller, "compute_v", lambda resid, lx: per_stage)
         win = hover_window(N + 2)
         adapt = AdaptConfig(lam=0.75, sub_horizon=ns, variant="linear")
         cfg = ControllerConfig(horizon=N, adapt=adapt)
@@ -229,18 +229,18 @@ class TestWeightUpdate:
         monkeypatch.setattr(controller, "update_weights", update)
         return calls
 
-    def test_once_when_rounds_stop_on_conv_tol(self, monkeypatch):
+    def test_once_after_every_round_at_a_fixed_point(self, monkeypatch):
+        # hover is a fixed point: every step is zero, and the tick still runs all its rounds
         calls = self.count_updates(monkeypatch)
-        monkeypatch.setattr(controller, "ALTERNATIONS", 3)
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
         _, _, diag = nmpc_tick(ControllerState(), win.xs[0], win, cfg)
-        assert len(diag.rounds) == 1  # hover is a fixed point: the first step is below CONV_TOL
+        assert len(diag.rounds) == controller.ALTERNATIONS
+        assert diag.rounds[0].step_norm < 1e-10
         assert len(calls) == 1
 
     def test_once_after_all_rounds(self, monkeypatch):
         calls = self.count_updates(monkeypatch)
-        monkeypatch.setattr(controller, "CONV_TOL", 0.0)
         monkeypatch.setattr(controller, "ALTERNATIONS", 3)
         win = hover_window(N + 2)
         cfg = ControllerConfig(horizon=N, adapt=AdaptConfig(lam=1.0, sub_horizon=5))
@@ -411,6 +411,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ControllerConfig(horizon=5, adapt=AdaptConfig(sub_horizon=6))
 
+    @pytest.mark.parametrize("limits", [None, (1.0, 25.0)], ids=["none", "tuple"])
+    def test_limits_must_be_a_box(self, limits):
+        # every QP has a control box: a config without one fails where it is built, not in the first QP
+        with pytest.raises(TypeError, match="limits must be a ControlLimits"):
+            ControllerConfig(limits=limits)
+
     def test_fixed_weights_is_not_a_setting(self):
         # the start weights are the state's: ControllerState().weights is FIXED_WEIGHTS
         assert "fixed_weights" not in {f.name for f in dataclasses.fields(ControllerConfig)}
@@ -424,15 +430,14 @@ class TestConfigValidation:
             ControllerConfig(qp_tol=1e-3)
 
     def test_alternations_is_not_a_setting(self):
-        # every table, preset and benchmark runs controller.ALTERNATIONS rounds at most
+        # every table, preset and benchmark runs controller.ALTERNATIONS rounds
         assert "alternations" not in {f.name for f in dataclasses.fields(ControllerConfig)}
         with pytest.raises(TypeError):
             ControllerConfig(alternations=2)
 
     def test_alpha_is_not_a_setting(self):
-        # every tick takes the full Newton step, controller.ALPHA
+        # every tick takes the full Newton step
         assert "alpha" not in {f.name for f in dataclasses.fields(ControllerConfig)}
-        assert controller.ALPHA == 1.0
         with pytest.raises(TypeError):
             ControllerConfig(alpha=0.5)
 

@@ -4,7 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,12 @@ def hover_window(n, position=(0.0, 0.0, 1.0)):
     return ReferenceWindow(np.tile(x, (n, 1)), np.tile(u, (n, 1)))
 
 
-def shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits=None, u_pred=None, alpha=1.0):
+def shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits=WIDE, u_pred=None):
+    """The stage QP of these arrays; by default under the ``WIDE`` box, with every predicted thrust at its centre."""
     N = B.shape[0]
+    if u_pred is None:
+        u_pred = np.zeros((N, B.shape[2]))
+        u_pred[:, 0] = 0.5 * (limits.c_min + limits.c_max)
     return ShootingProblem(
         A=A,
         B=B,
@@ -61,9 +65,8 @@ def shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits=None, u_pred
         qs=qs,
         rs=rs,
         initial_gap=gap,
-        u_pred=u_pred if u_pred is not None else np.zeros((N, B.shape[2])),
+        u_pred=u_pred,
         limits=limits,
-        alpha=alpha,
     )
 
 
@@ -89,12 +92,33 @@ class TestWeightVector:
         assert WeightVector(np.ones(10), np.ones(4)) != WeightVector(np.ones(10), np.full(4, 2.0))
 
 
+class TestShootingProblem:
+    def test_limits_required(self):
+        # every QP has a control box: a problem without one fails where it is built
+        A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(np.random.default_rng(1), N=2)
+        u_pred = np.zeros((2, 4))
+        with pytest.raises(TypeError, match="limits"):
+            ShootingProblem(
+                A=A, B=B, defects=defects, lx=lx, lu=lu, qs=qs, rs=rs, initial_gap=gap, u_pred=u_pred
+            )
+
+    def test_alpha_is_the_full_step_not_a_field(self):
+        # the benchmark's QP check reads ShootingProblem.alpha; no problem can set another fraction
+        assert ShootingProblem.alpha == 1.0
+        assert "alpha" not in {f.name for f in fields(ShootingProblem)}
+        A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(np.random.default_rng(2), N=2)
+        prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap)
+        assert prob.alpha == 1.0
+        with pytest.raises(TypeError):
+            replace(prob, alpha=0.5)
+
+
 class TestBuildQp:
     def test_consistent_hover_gives_zero_data(self):
         N = 5
         win = hover_window(N + 1)
         pred = PredictionTrajectory(win.xs.copy(), win.us[:N].copy())
-        prob = build_qp(pred, win, default_weights(), win.xs[0], WIDE, 1.0, DT)
+        prob = build_qp(pred, win, default_weights(), win.xs[0], WIDE, DT)
         assert np.abs(prob.lx).max() == 0.0
         assert np.abs(prob.lu).max() == 0.0
         assert np.abs(prob.initial_gap).max() == 0.0
@@ -106,7 +130,7 @@ class TestBuildQp:
         pred = PredictionTrajectory(win.xs.copy(), win.us[:N].copy())
         x_meas = win.xs[0].copy()
         x_meas[0] += 0.1
-        prob = build_qp(pred, win, default_weights(), x_meas, WIDE, 1.0, DT)
+        prob = build_qp(pred, win, default_weights(), x_meas, WIDE, DT)
         expected = np.zeros(10)
         expected[0] = 0.1
         np.testing.assert_array_equal(prob.initial_gap, expected)
@@ -116,7 +140,7 @@ class TestBuildQp:
         N = 6
         win = traj.window(10, N + 1)
         pred = PredictionTrajectory(win.xs.copy(), win.us[:N].copy())
-        prob = build_qp(pred, win, default_weights(), win.xs[0], WIDE, 1.0, DT)
+        prob = build_qp(pred, win, default_weights(), win.xs[0], WIDE, DT)
         for k in range(N):
             nxt = QUADROTOR.step(pred.xs[k], pred.us[k], DT)
             np.testing.assert_array_equal(prob.defects[k], nxt - pred.xs[k + 1])
@@ -127,14 +151,14 @@ class TestBuildQp:
         # one point short, and a single point, which would otherwise broadcast against every stage
         for win in (hover_window(N), hover_window(1)):
             with pytest.raises(ValueError, match="too short for horizon 5"):
-                build_qp(pred, win, default_weights(), win.xs[0], WIDE, 1.0, DT)
+                build_qp(pred, win, default_weights(), win.xs[0], WIDE, DT)
 
     def test_weights_apply_to_every_stage(self):
         N = 3
         win = hover_window(N + 1)
         pred = PredictionTrajectory(win.xs + 0.1, win.us[:N] + 0.2)
         w = WeightVector(np.arange(1.0, 11.0), np.arange(11.0, 15.0))
-        prob = build_qp(pred, win, w, win.xs[0], WIDE, 1.0, DT)
+        prob = build_qp(pred, win, w, win.xs[0], WIDE, DT)
         assert prob.qs.shape == (N + 1, 10)
         assert prob.rs.shape == (N, 4)
         for row in prob.qs:
@@ -142,7 +166,7 @@ class TestBuildQp:
         for row in prob.rs:
             np.testing.assert_array_equal(row, w.r)
         with pytest.raises(ValueError):  # negative weights never reach the QP
-            build_qp(pred, win, WeightVector(np.negative(w.q), w.r), win.xs[0], WIDE, 1.0, DT)
+            build_qp(pred, win, WeightVector(np.negative(w.q), w.r), win.xs[0], WIDE, DT)
 
 
 class TestSolveQp:
@@ -161,6 +185,7 @@ class TestSolveQp:
             A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, N)
             prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap)
             sol = solve_qp(prob)
+            assert not sol.active.any()
             dx_o, du_o = dense_equality_qp(A, B, defects, qs, rs, qs * lx, rs * lu, gap)
             assert np.abs(sol.dx - dx_o).max() < 1e-8
             assert np.abs(sol.du - du_o).max() < 1e-8
@@ -173,8 +198,8 @@ class TestSolveQp:
         # follows from the first-order condition; an upper bound below it
         # must come out active.
         a, b, d, gap = 1.2, 0.8, 0.3, 0.5
-        qv, rv, l1, l2, lu, alpha = 2.0, 1.0, 0.4, -0.6, 0.1, 1.0
-        du_free = -(alpha * rv * lu + 2 * qv * b * (a * gap + d) + alpha * qv * l2 * b) / (
+        qv, rv, l1, l2, lu = 2.0, 1.0, 0.4, -0.6, 0.1
+        du_free = -(rv * lu + 2 * qv * b * (a * gap + d) + qv * l2 * b) / (
             2 * rv + 2 * qv * b * b
         )
 
@@ -199,13 +224,13 @@ class TestSolveQp:
 
         hi_du = du_free - 0.25  # upper bound below the free optimum: active
         limits = ControlLimits(c_min=0.01, c_max=2.0 + hi_du, omega_min=-100, omega_max=100)
-        prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu_arr, gap_vec, limits, u_pred, alpha)
+        prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu_arr, gap_vec, limits, u_pred)
         sol = solve_qp(prob)
         assert abs(sol.du[0, 0] - hi_du) < 1e-8
         assert sol.kkt_residual <= 1e-6
 
         wide = ControlLimits(c_min=0.01, c_max=100.0, omega_min=-100, omega_max=100)
-        prob2 = shooting_from_arrays(A, B, defects, qs, rs, lx, lu_arr, gap_vec, wide, u_pred, alpha)
+        prob2 = shooting_from_arrays(A, B, defects, qs, rs, lx, lu_arr, gap_vec, wide, u_pred)
         sol2 = solve_qp(prob2)
         assert abs(sol2.du[0, 0] - du_free) < 1e-8
 
@@ -272,18 +297,18 @@ class TestSolveQp:
             solve_qp(prob)
 
 
-def box_instance(rng, N, tied=False, alpha=1.0):
+def box_instance(rng, N, tied=False):
     """Random stage QP whose box excludes the unconstrained minimizer, so bounds bind.
 
     With ``tied``, controls 1 and 2 act through the same column of ``B`` as
-    control 0, a degenerate instance. ``alpha`` scales both linear terms.
+    control 0, a degenerate instance.
     Returns the problem and the oracle's arguments (weights unnormalized,
     box in step coordinates).
     """
     A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, N)
     if tied:
         B[:, :, 1] = B[:, :, 2] = B[:, :, 0]
-    qlin, rlin = alpha * qs * lx, alpha * rs * lu
+    qlin, rlin = qs * lx, rs * lu
     _, du_free = dense_equality_qp(A, B, defects, qs, rs, qlin, rlin, gap)
     width = rng.uniform(0.2, 1.0, 4)
     limits = ControlLimits(c_min=1.0, c_max=1.0 + width[0], omega_min=-0.5 * width[1:], omega_max=0.5 * width[1:])
@@ -291,7 +316,7 @@ def box_instance(rng, N, tied=False, alpha=1.0):
     offset = rng.uniform(-1.0, 1.0, (N, 4)) * width
     offset[0, 0] = 1.5 * width[0]
     u_pred = limits.lower - (du_free + offset - 0.5 * width)
-    prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits, u_pred, alpha)
+    prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, limits, u_pred)
     oracle_args = (A, B, defects, qs, rs, qlin, rlin, gap, limits.lower - u_pred, limits.upper - u_pred)
     return prob, oracle_args
 
@@ -316,7 +341,7 @@ def blas_digest():
         x_meas = win.xs[0].copy()
         x_meas[:6] += 0.2 * rng.standard_normal(6)
         w = WeightVector(10.0 ** rng.uniform(-2.0, 1.0, 10), rng.uniform(0.5, 2.0, 4))
-        sol = solve_qp(build_qp(pred, win, w, x_meas, SATURATED_BOX, 1.0, DT))
+        sol = solve_qp(build_qp(pred, win, w, x_meas, SATURATED_BOX, DT))
         digest.update(sol.dx.tobytes() + sol.du.tobytes() + np.float64(sol.kkt_residual).tobytes())
     return digest.hexdigest()
 
@@ -371,25 +396,6 @@ class TestBoxQpOracle:
             assert np.abs(sol.du - du_o).max() < 1e-9
             assert sol.kkt_residual <= 1e-6
 
-    def test_alpha_scales_both_linear_terms(self):
-        # the step fraction alpha multiplies the state and the control reference terms alike
-        rng = np.random.default_rng(50)
-        alpha = 0.5
-        for _ in range(10):
-            A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, 3)
-            sol = solve_qp(shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap, alpha=alpha))
-            dx_o, du_o = dense_equality_qp(A, B, defects, qs, rs, alpha * qs * lx, alpha * rs * lu, gap)
-            assert np.abs(sol.dx - dx_o).max() < 1e-8
-            assert np.abs(sol.du - du_o).max() < 1e-8
-        for _ in range(10):
-            prob, oracle_args = box_instance(rng, 1, alpha=alpha)
-            dx_o, du_o, active_o = enumerated_box_qp(*oracle_args)
-            sol = solve_qp(prob)
-            assert np.abs(sol.dx - dx_o).max() < 1e-9
-            assert np.abs(sol.du - du_o).max() < 1e-9
-            np.testing.assert_array_equal(sol.active, active_o)
-            assert sol.kkt_residual <= 1e-6
-
     def test_capped_state_weights_match_held_set_oracle(self, monkeypatch):
         # linear weights at lambda 0.01 reach the cap LINEAR_Q_MAX after a noise kick, which spreads
         # the condensed Hessian's spectrum; each QP solved at the cap must still give the dense KKT
@@ -435,15 +441,17 @@ class TestBoxQpOracle:
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
 
-    def test_start_set_ignored_without_limits(self):
+    def test_start_set_released_on_a_slack_box(self):
+        # every QP has a box, so a start set is always used; where the box never binds, the loop releases it
         rng = np.random.default_rng(7)
         A, B, defects, qs, rs, lx, lu, gap = random_shooting_data(rng, N=3)
         prob = shooting_from_arrays(A, B, defects, qs, rs, lx, lu, gap)
         cold = solve_qp(prob)
         warm = solve_qp(prob, active=np.ones((3, 4), dtype=np.int8))
-        np.testing.assert_array_equal(warm.du, cold.du)
-        np.testing.assert_array_equal(warm.active, np.zeros((3, 4)))
-        assert warm.working_sets == cold.working_sets == 1
+        assert not cold.active.any() and not warm.active.any()
+        assert cold.working_sets == 1 < warm.working_sets
+        np.testing.assert_allclose(warm.du, cold.du, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(warm.dx, cold.dx, rtol=0, atol=1e-9)
 
     def test_malformed_start_set_rejected(self):
         prob, _ = box_instance(np.random.default_rng(8), N=2)
@@ -488,17 +496,6 @@ class TestKktResidual:
 
 
 class TestApplyStep:
-    def test_zero_alpha_keeps_prediction(self):
-        N = 4
-        win = hover_window(N + 1)
-        pred = PredictionTrajectory(win.xs.copy(), win.us[:N].copy())
-        sol = solve_qp(
-            build_qp(pred, win, default_weights(), win.xs[0], WIDE, 1.0, DT)
-        )
-        out = apply_step(pred, sol, 0.0, WIDE)
-        np.testing.assert_allclose(out.xs, pred.xs, atol=1e-15)
-        np.testing.assert_allclose(out.us, pred.us, atol=1e-15)
-
     def test_full_step_reaches_reference_on_linear_components(self):
         N = 3
         win = hover_window(N + 1)
@@ -507,7 +504,7 @@ class TestApplyStep:
         from adaptive_nmpc.transcription import QpSolution
 
         sol = QpSolution(dx=win.xs[: N + 1] - pred.xs, du=np.zeros((N, 4)), kkt_residual=0.0)
-        out = apply_step(pred, sol, 1.0, WIDE)
+        out = apply_step(pred, sol, WIDE)
         np.testing.assert_allclose(out.xs[:, 0:6], win.xs[: N + 1, 0:6], atol=1e-15)
 
     def test_controls_clamped(self):
@@ -518,15 +515,18 @@ class TestApplyStep:
 
         sol = QpSolution(dx=np.zeros((N + 1, 10)), du=np.full((N, 4), 100.0), kkt_residual=0.0)
         lim = ControlLimits(c_min=1.0, c_max=20.0, omega_min=-3.0, omega_max=3.0)
-        out = apply_step(pred, sol, 1.0, lim)
+        out = apply_step(pred, sol, lim)
         assert np.all(out.us <= lim.upper + 1e-12)
 
     def test_repeated_steps_converge_on_lti_problem(self):
         rng = np.random.default_rng(6)
         n, m, N = 10, 4, 6
-        model = LinearModel(np.eye(n) + 0.05 * rng.standard_normal((n, n)), 0.3 * rng.standard_normal((n, m)))
+        box = ControlLimits()
+        # the model is trimmed at the box's thrust centre, where the reference thrust sits
+        trim = np.array([0.5 * (box.c_min + box.c_max), 0.0, 0.0, 0.0])
+        model = LinearModel(np.eye(n) + 0.05 * rng.standard_normal((n, n)), 0.3 * rng.standard_normal((n, m)), trim)
         ref_xs = 0.5 * rng.standard_normal((N + 1, n))
-        ref_us = 0.2 * rng.standard_normal((N, m))
+        ref_us = trim + 0.2 * rng.standard_normal((N, m))
         win = ReferenceWindow(ref_xs, np.vstack([ref_us, ref_us[-1:]]))
         pred = PredictionTrajectory(ref_xs.copy(), ref_us.copy())
         x_meas = rng.standard_normal(n)
@@ -541,13 +541,14 @@ class TestApplyStep:
         dx_o, du_o = dense_equality_qp(A, B, defects, qs, rs, 1.0 * qs * 0, rs * 0, x_meas - ref_xs[0])
         x_opt = ref_xs + dx_o
         u_opt = ref_us + du_o
+        assert np.all(u_opt > box.lower) and np.all(u_opt < box.upper)  # the box does not bind
 
         norms = []
         for _ in range(40):
-            prob = build_qp(pred, win, w, x_meas, None, 1.0, DT, model=model)
+            prob = build_qp(pred, win, w, x_meas, box, DT, model=model)
             sol = solve_qp(prob)
             norms.append(sol.step_norm)
-            pred = apply_step(pred, sol, 1.0, None, model=model)
+            pred = apply_step(pred, sol, box, model=model)
             if sol.step_norm < 1e-12:
                 break
         assert norms[-1] < 1e-6

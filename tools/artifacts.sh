@@ -5,6 +5,10 @@
 #             circle read back from a CSV file written by to_csv;
 #   table:    tables 1 and 2, and table 3 at two runs per cell;
 #   plotdata: the agg1 fixed and agg1 exp logs side by side;
+#   library:  agg2 adaptive exp under the benchmark's `saturated` box
+#             (thrust in [7, 12.5], |rates| <= 1), which no CLI flag sets,
+#             so that bounds bind; its log goes through cli.write_simlog_csv
+#             to agg2_saturated/log.csv;
 #   replay:   agg2 with noise again, from the config in its summary.json
 #             (written to agg2_replay/config.json) into agg2_replay, and
 #             table 3 again, from the `# config:` line of its report
@@ -14,7 +18,8 @@
 #             and table3_replay_cmp.
 # Every path the commands see is relative to OUT, so two checkouts' outputs
 # compare byte for byte with `diff -r OUT_A OUT_B`. Each command's exit code
-# goes to OUT/exit_codes.txt; a failing command does not stop the rest.
+# goes to OUT/exit_codes.txt, writing circle.csv's as circle_csv; a failing
+# command does not stop the rest.
 #
 # Usage: tools/artifacts.sh OUT
 set -eu
@@ -36,7 +41,14 @@ run() {
     echo "$name $rc" >> exit_codes.txt
 }
 
-python3 -c 'from adaptive_nmpc import preset; preset("circle").to_csv("circle.csv")'
+# py: NAME CODE, the exit code of a Python snippet as NAME in exit_codes.txt
+py() {
+    rc=0
+    python3 -c "$2" || rc=$?
+    echo "$1 $rc" >> exit_codes.txt
+}
+
+py circle_csv 'from adaptive_nmpc import preset; preset("circle").to_csv("circle.csv")'
 
 run agg1_fixed simulate --trajectory agg1 --mode fixed --out agg1_fixed
 run agg1_exp simulate --trajectory agg1 --mode adaptive --variant exp --out agg1_exp
@@ -47,6 +59,16 @@ run table1 table --table 1 --out table1
 run table2 table --table 2 --out table2
 run table3 table --table 3 --runs 2 --out table3
 run plot plotdata --log agg1_fixed/log.csv --log agg1_exp/log.csv --out plots
+mkdir -p agg2_saturated
+py agg2_saturated '
+from pathlib import Path
+from adaptive_nmpc import AdaptConfig, ControlLimits, ControllerConfig, cli, harness, preset
+box = dict(c_min=7.0, c_max=12.5, omega_min=-1.0, omega_max=1.0)
+cfg = ControllerConfig(limits=ControlLimits(**box), adapt=AdaptConfig(lam=1.0, sub_horizon=8, variant="exponential"))
+log = harness.run_closed_loop(preset("agg2"), cfg)
+config = {"trajectory": "agg2", "mode": "adaptive", "variant": "exp", "lambda": 1.0, "sub_horizon": 8, **box}
+cli.write_simlog_csv(log, Path("agg2_saturated/log.csv"), config)
+'
 
 # compare: NAME FILE_A FILE_B, the exit code of `cmp` as NAME in exit_codes.txt
 compare() {
