@@ -20,9 +20,14 @@ with ``g_W = [0, 0, -9.81]``. The discrete map is one classical RK4 step
 followed by quaternion renormalization; its Jacobians are propagated
 analytically through the RK4 stages and the renormalization.
 
-Every function operates on raw arrays and broadcasts over leading batch
-dimensions; :class:`QuadrotorModel` (``step``, ``discretize``, ``project``)
-is the interface the controller uses.
+``dq/dt`` is written once, in :func:`_quat_rate`. Because it is bilinear in
+``(q, w)``, the continuous Jacobian reads its two rate blocks off that
+helper at unit quaternions and unit rates; only the thrust blocks are
+stacked matrices built with ``np.cross``.
+
+Every function operates on raw arrays and broadcasts over the leading batch
+dimensions of the state and the control alike; :class:`QuadrotorModel`
+(``step``, ``discretize``, ``project``) is the interface the controller uses.
 """
 
 from __future__ import annotations
@@ -135,31 +140,6 @@ def _skew(v: np.ndarray) -> np.ndarray:
     )
 
 
-def _omega_matrix(w: np.ndarray) -> np.ndarray:
-    """4x4 quaternion-rate matrix M(w) with dq/dt = 0.5 M(w) q for body rates w."""
-    wx, wy, wz = w[..., 0], w[..., 1], w[..., 2]
-    z = np.zeros_like(wx)
-    rows = [
-        [z, -wx, -wy, -wz],
-        [wx, z, wz, -wy],
-        [wy, -wz, z, wx],
-        [wz, wy, -wx, z],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-
-def _rate_jacobian(q: np.ndarray) -> np.ndarray:
-    """d(M(w) q)/dw, shape (..., 4, 3)."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    rows = [
-        [-x, -y, -z],
-        [w, -z, y],
-        [z, w, -x],
-        [-y, x, w],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-
 def _rotate_jacobian_q(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """d(R(q) v)/dq for fixed v, shape (..., 3, 4)."""
     w = q[..., :1]
@@ -175,10 +155,20 @@ def _rotate_jacobian_q(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([col_w[..., :, None], block], axis=-1)
 
 
+def _quat_rate(q: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """dq/dt = 0.5 q (x) [0, w] written out by component into ``out[..., 0:4]``."""
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    wx, wy, wz = w[..., 0], w[..., 1], w[..., 2]
+    out[..., 0] = -0.5 * (qx * wx + qy * wy + qz * wz)
+    out[..., 1] = 0.5 * (qw * wx + qy * wz - qz * wy)
+    out[..., 2] = 0.5 * (qw * wy + qz * wx - qx * wz)
+    out[..., 3] = 0.5 * (qw * wz + qx * wy - qy * wx)
+
+
 def _deriv(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """f(x, u) written out by component into one ``(..., 10)`` array."""
     qw, qx, qy, qz = x[..., 6], x[..., 7], x[..., 8], x[..., 9]
-    c, wx, wy, wz = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
+    c = u[..., 0]
     # dv: c times the third column of R(q), plus gravity
     ax = 2.0 * c * (qx * qz + qw * qy)
     out = np.empty(ax.shape + (STATE_DIM,))
@@ -186,16 +176,12 @@ def _deriv(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     out[..., 3] = ax
     out[..., 4] = 2.0 * c * (qy * qz - qw * qx)
     out[..., 5] = c * (qw * qw - qx * qx - qy * qy + qz * qz) - GRAVITY
-    # dq = 0.5 q (x) [0, w]
-    out[..., 6] = -0.5 * (qx * wx + qy * wy + qz * wz)
-    out[..., 7] = 0.5 * (qw * wx + qy * wz - qz * wy)
-    out[..., 8] = 0.5 * (qw * wy + qz * wx - qx * wz)
-    out[..., 9] = 0.5 * (qw * wz + qx * wy - qy * wx)
+    _quat_rate(x[..., _QUAT], u[..., 1:], out[..., _QUAT])
     return out
 
 
 def _jac_continuous(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    batch = x.shape[:-1]
+    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
     q = x[..., _QUAT]
     c = u[..., :1]
     omega = u[..., 1:]
@@ -205,9 +191,10 @@ def _jac_continuous(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     zeros = np.zeros_like(c)
     thrust_body = np.concatenate([zeros, zeros, c], axis=-1)
     Jx[..., 3:6, 6:10] = _rotate_jacobian_q(q, thrust_body)
-    Jx[..., 6:10, 6:10] = 0.5 * _omega_matrix(omega)
     Ju[..., 3:6, 0] = _rotate(q, np.broadcast_to(_EZ, batch + (3,)))
-    Ju[..., 6:10, 1:4] = 0.5 * _rate_jacobian(q)
+    # dq/dt is bilinear in (q, w): its Jacobian columns are dq/dt at unit q and at unit w
+    _quat_rate(np.eye(4), omega[..., None, :], Jx[..., 6:10, 6:10].swapaxes(-1, -2))
+    _quat_rate(q[..., None, :], np.eye(3), Ju[..., 6:10, 1:4].swapaxes(-1, -2))
     return Jx, Ju
 
 
@@ -240,7 +227,7 @@ def _step_jacobians(x: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray
     both of the full discrete map including quaternion renormalization;
     ``x_next`` is :func:`_step` of the same inputs.
     """
-    batch = x.shape[:-1]
+    batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
     eye = np.broadcast_to(np.eye(STATE_DIM), batch + (STATE_DIM, STATE_DIM))
 
     raw, points = _rk4(x, u, dt)

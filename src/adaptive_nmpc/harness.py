@@ -8,8 +8,8 @@ injected measurement noise.
 Noise protocol: one trajectory index ``tau`` is drawn uniformly per noisy
 run, from a generator seeded with the run's seed; at that tick the measured
 position is corrupted as ``p' = p + sigma * nu`` with an isotropic Gaussian
-draw ``nu`` rescaled to ``|nu| = |p|``. Velocity and attitude are never
-corrupted. A noise-free run builds no generator.
+draw ``nu`` rescaled to ``|nu| = |p|``, or to ``|nu| = 1`` when ``p = 0``.
+Velocity and attitude are never corrupted. A noise-free run builds no generator.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class MetricsReport:
 
 
 def inject_noise(x: State, sigma: float, rng: np.random.Generator) -> State:
-    """Corrupt the position with a Gaussian draw rescaled to the position norm."""
+    """Corrupt the position with a Gaussian draw rescaled to the position norm, or to unit length at p = 0."""
     if sigma == 0.0:
         return x
     nu = rng.standard_normal(3)

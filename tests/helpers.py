@@ -118,7 +118,7 @@ def deriv_reference(x, u):
     thrust_body = np.concatenate([zeros, zeros, c], axis=-1)
     dv = (quat_to_rotmat(q) @ thrust_body[..., None])[..., 0] + _GRAVITY_VEC
     dq = 0.5 * hamilton_product(q, np.concatenate([zeros, omega], axis=-1))
-    return np.concatenate([x[..., _VEL], dv, dq], axis=-1)
+    return np.concatenate([np.broadcast_to(x[..., _VEL], dv.shape), dv, dq], axis=-1)
 
 
 def step_reference(x, u, dt):

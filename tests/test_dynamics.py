@@ -23,8 +23,9 @@ from helpers import (
 QUAT_90X = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0, 0.0])
 FREE_FALL = np.zeros(4)
 
-#: (state batch, control batch): single, one horizon, two batch axes, and a horizon under one control
-BATCHES = [((), ()), ((19,), (19,)), ((3, 5), (3, 5)), ((19,), ())]
+#: (state batch, control batch): single, one horizon, two batch axes, a horizon under one control,
+#: and one state under a horizon of controls
+BATCHES = [((), ()), ((19,), (19,)), ((3, 5), (3, 5)), ((19,), ()), ((), (19,))]
 
 
 def random_inputs(seed, x_batch, u_batch):

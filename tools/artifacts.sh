@@ -1,8 +1,10 @@
 #!/bin/sh
 # Write the CLI proof set of the checkout this script sits in to OUT:
 #   simulate: agg1 fixed, agg1 adaptive exp, diamond adaptive linear
-#             (lambda 0.01), agg2 with noise sigma 2 and seed 3, and a
-#             circle read back from a CSV file written by to_csv;
+#             (lambda 0.01), agg2 with noise sigma 2 and seed 3, a circle
+#             read back from a CSV file written by to_csv, and agg1
+#             adaptive linear (lambda 0.01) with noise sigma 50, where a
+#             weight ends a tick at the cap LINEAR_Q_MAX;
 #   table:    tables 1 and 2, and table 3 at two runs per cell;
 #   plotdata: the agg1 fixed and agg1 exp logs side by side;
 #   library:  agg2 adaptive exp under the benchmark's `saturated` box
@@ -55,6 +57,7 @@ run agg1_exp simulate --trajectory agg1 --mode adaptive --variant exp --out agg1
 run diamond_linear simulate --trajectory diamond --mode adaptive --variant linear --lambda 0.01 --out diamond_linear
 run agg2_noise simulate --trajectory agg2 --noise-sigma 2 --seed 3 --out agg2_noise
 run circle_file simulate --trajectory file:circle.csv --out circle_file
+run agg1_linear_cap simulate --trajectory agg1 --mode adaptive --variant linear --lambda 0.01 --noise-sigma 50 --out agg1_linear_cap
 run table1 table --table 1 --out table1
 run table2 table --table 2 --out table2
 run table3 table --table 3 --runs 2 --out table3
