@@ -69,7 +69,8 @@ def update_weights(v_sum, cfg: AdaptConfig) -> np.ndarray:
     Linear: capped at :data:`LINEAR_Q_MAX`. Exponential: its exponent capped
     at :data:`EXP_CLAMP`, so always positive.
     """
-    arg = np.asarray(v_sum, dtype=float) / (2.0 * cfg.lam)
+    with np.errstate(over="ignore"):  # a tiny lam sends the ratio to +-inf, which both caps handle
+        arg = np.asarray(v_sum, dtype=float) / (2.0 * cfg.lam)
     if cfg.variant == "exponential":
         return np.exp(np.minimum(arg, EXP_CLAMP))
     return np.minimum(arg, LINEAR_Q_MAX)

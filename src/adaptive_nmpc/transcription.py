@@ -16,10 +16,16 @@ with Hessian ``H`` and gradient ``H du + g`` (Frison and Jorgensen, CDC
 on that dense QP, as in qpOASES (Ferreau et al., Math. Prog. Comp. 2014):
 each working set holds some controls at a bound and solves one linear
 system in the free ones, then checks the bounds of the free controls and
-the multiplier signs of the held ones. The loop can start from a given
-working set (the controller passes the one the previous round or tick
-ended with). The success certificate is the KKT residual of the
-weight-normalized problem, with costates from one backward pass.
+the multiplier signs of the held ones. Until a working set's solution
+lies in the box, every violated bound joins at once. From then on the loop
+is the primal active-set method (Nocedal and Wright, Numerical
+Optimization, 2nd ed., Alg. 16.3): it releases the one held control with
+the most negative multiplier, and it steps toward a solution outside the
+box only until a bound blocks, which then joins; so the objective never
+rises. The loop can start from a given working set (the controller passes
+the one the previous round or tick ended with). The success certificate
+is the KKT residual of the weight-normalized problem, with costates from
+one backward pass.
 """
 
 from __future__ import annotations
@@ -293,9 +299,7 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
 
     G, H, g = _condense(A, B, defects, qs, rs, qlin, rlin, prob.initial_gap)
 
-    dual_tol = 1e-10
-    seen_sets: set[bytes] = set()
-    cycling = False
+    feasible = None  # the last iterate inside the box, once the loop has reached one
 
     for working_sets in range(1, QP_MAX_ITER + 1):
         clamped = act != 0
@@ -307,9 +311,10 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
         viol_lo = ~clamped & (du < lo - 1e-12)
         # multiplier sign: upper-bound mu = -grad_u, lower-bound mu = +grad_u
         mult = np.where(at_upper, -grad_u, grad_u)
-        release = clamped & (mult < -dual_tol)
+        release = clamped & (mult < -1e-10)
+        viol = viol_hi | viol_lo
 
-        if not viol_hi.any() and not viol_lo.any() and not release.any():
+        if not viol.any() and not release.any():
             dx = G @ np.append(du.ravel(), 1.0)
             if not (np.isfinite(dx).all() and np.isfinite(du).all()):
                 raise QpSolveError("QP solve produced non-finite iterates")
@@ -323,20 +328,18 @@ def solve_qp(prob: ShootingProblem, active: np.ndarray | None = None) -> QpSolut
             failure = f"KKT residual {res:.3e} exceeds tolerance {QP_TOL:.1e}"
             break
 
-        if viol_hi.any() or viol_lo.any():
-            act[viol_hi] = 1
-            act[viol_lo] = -1
-        elif not cycling:
-            # release every wrong-sign multiplier at once; fall back to
-            # single releases if the working set ever repeats
-            act[release] = 0
-        else:
+        if not viol.any():
+            feasible = du
             act[np.unravel_index(np.argmin(np.where(release, mult, np.inf)), mult.shape)] = 0
-
-        sig = act.tobytes()
-        if sig in seen_sets:
-            cycling = True
-        seen_sets.add(sig)
+            continue
+        if feasible is not None:
+            # step from the last feasible iterate toward du until a bound blocks; hold only the blocking bounds
+            step = du - feasible
+            room = np.where(viol, (np.where(viol_hi, hi, lo) - feasible) / np.where(viol, step, 1.0), np.inf)
+            feasible = feasible + room.min() * step
+            viol = room == room.min()
+        act[viol & viol_hi] = 1
+        act[viol & viol_lo] = -1
     else:
         failure = f"active-set loop did not converge within {QP_MAX_ITER} iterations"
     size, name = max((float(np.abs(arr).max()), name) for name, arr in inputs)

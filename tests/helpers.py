@@ -10,7 +10,8 @@ import itertools
 import numpy as np
 
 from adaptive_nmpc.dynamics import _QUAT, _VEL, GRAVITY, ControlLimits, State
-from adaptive_nmpc.transcription import Q_MIN, WeightVector
+from adaptive_nmpc.trajectories import preset
+from adaptive_nmpc.transcription import Q_MIN, PredictionTrajectory, WeightVector, build_qp
 
 #: The control box of the benchmark's ``saturated`` workload: below the
 #: thrust and rate peaks of agg1/agg2, so the bounds bind on most ticks.
@@ -377,3 +378,36 @@ def kkt_residual_loops(A, B, defects, qs, rs, qlin, rlin, gap, lo, hi, dx, du, l
     res = max(res, float(np.abs(2.0 * qs[N] * dx[N] + qlin[N] - lam[N]).max()))
     res = max(res, float(np.maximum(lo - du, 0.0).max()), float(np.maximum(du - hi, 0.0).max()))
     return res
+
+
+def stress_qps(q_max):
+    """Seeded cold-start box QPs at large state weights: 40 horizon-19 problems.
+
+    Each is built by ``build_qp`` from a random window of ``agg1`` or
+    ``agg2`` (alternately) under :data:`SATURATED_BOX`, whose bounds the
+    reference exceeds. The prediction's positions and velocities are
+    perturbed by 0.1, its quaternions by 0.05 (then renormalized), its
+    controls by 0.5 (then clamped to the box), and the measurement's
+    positions and velocities by 0.3. State weights are log-uniform in
+    [1e-2, ``q_max``] with one random entry at ``q_max``; control weights
+    are uniform in [0.5, 2]. Each ``q_max`` has its own fixed draws.
+    """
+    rng = np.random.default_rng([6, round(np.log10(q_max))])
+    N, dt = 19, 0.05
+    trajs = [preset("agg1", dt=dt), preset("agg2", dt=dt)]
+    probs = []
+    for i in range(40):
+        traj = trajs[i % 2]
+        win = traj.window(int(rng.integers(0, len(traj) - N - 1)), N + 1)
+        xs = win.xs.copy()
+        xs[:, :6] += 0.1 * rng.standard_normal((N + 1, 6))
+        xs[:, _QUAT] += 0.05 * rng.standard_normal((N + 1, 4))
+        xs[:, _QUAT] /= np.linalg.norm(xs[:, _QUAT], axis=1, keepdims=True)
+        us = SATURATED_BOX.clamp(win.us[:N] + 0.5 * rng.standard_normal((N, 4)))
+        x_meas = win.xs[0].copy()
+        x_meas[:6] += 0.3 * rng.standard_normal(6)
+        q = 10.0 ** rng.uniform(-2.0, np.log10(q_max), 10)
+        q[rng.integers(0, 10)] = q_max
+        w = WeightVector(q, rng.uniform(0.5, 2.0, 4))
+        probs.append(build_qp(PredictionTrajectory(xs, us), win, w, x_meas, SATURATED_BOX, dt))
+    return probs

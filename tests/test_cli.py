@@ -371,6 +371,48 @@ class TestSimulate:
         warning = rf"warning: controller failed on 1 ticks \(held command\); first at tick {tau}: {reason}\n"
         assert re.fullmatch(warning, err)
 
+    @pytest.mark.parametrize(
+        "trajectory, lam, sigma, seed",
+        [
+            # with the weights at the cap LINEAR_Q_MAX, these held their command on 18 ticks and on
+            # 1 while the active-set loop released every wrong-sign multiplier at once
+            ("agg1", "1e-6", "5", "3"),
+            ("agg1", "1e-300", "3", "1"),
+            # and this one cycled through 7 working sets when every violated bound joined at once
+            # even after a solution in the box
+            ("agg2", "0.01", "2", "2"),
+        ],
+    )
+    def test_noisy_linear_runs_at_the_cap_hold_no_tick(self, tmp_path, trajectory, lam, sigma, seed):
+        out = tmp_path / "run"
+        args = ["--trajectory", trajectory, "--mode", "adaptive", "--variant", "linear", "--lambda", lam]
+        assert main(["simulate", *args, "--noise-sigma", sigma, "--seed", seed, "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["controller_failures"] == 0
+
+    def test_tiny_lambda_overflows_quietly(self, tmp_path, capsys):
+        # v_sum / (2 lam) overflows to inf at the smallest subnormal lam; the exponent cap takes it
+        out = tmp_path / "run"
+        args = ["--trajectory", "agg1", "--mode", "adaptive", "--lambda", "5e-324", "--noise-sigma", "1", "--seed", "2"]
+        assert main(["simulate", *args, "--out", str(out)]) == 0
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        assert json.loads((out / "summary.json").read_text())["controller_failures"] == 0
+
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [(0, 1e308, "position jump inf reaches 20 m/s * dt"), (6, 1e200, "reference quaternions are not unit norm")],
+        ids=["position", "quaternion"],
+    )
+    def test_huge_file_entry_rejected_quietly(self, tmp_path, capsys, entry, value, message):
+        # the entry is finite, but its norm overflows to inf, which the check rejects
+        tr = preset("circle", dt=0.05)
+        xs = tr.xs.copy()
+        xs[5, entry] = value
+        traj_path = tmp_path / "tr.csv"
+        ReferenceTrajectory(tr.ts, xs, tr.us).to_csv(traj_path)
+        rc = main(["simulate", "--trajectory", f"file:{traj_path}", "--horizon", "8", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_runtime_failure_exit_code(self, tmp_path):
         rc = main(["simulate", "--trajectory", "file:/nonexistent.csv", "--out", str(tmp_path / "x")])
         assert rc == 1

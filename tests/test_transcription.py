@@ -38,6 +38,7 @@ from helpers import (
     kkt_residual_loops,
     qp_objective,
     random_shooting_data,
+    stress_qps,
 )
 
 DT = 0.05
@@ -367,10 +368,10 @@ class TestBoxQpOracle:
             assert solve_qp(prob, active=active_o).working_sets == 1
 
     @pytest.mark.parametrize("N, seed", [(1, 2086), (2, 1592)])
-    def test_cycling_falls_back_to_single_release(self, N, seed, monkeypatch):
-        # three controls through one column of B: releasing every wrong-sign
-        # multiplier at once trades them against each other until a working
-        # set comes back; from then on the loop releases one control at a time
+    def test_tied_controls_released_one_at_a_time(self, N, seed, monkeypatch):
+        # three controls through one column of B: releasing every wrong-sign multiplier at once
+        # would trade them against each other and bring a working set back; the loop releases
+        # one control per step, so it never revisits a set and reaches the enumerated minimizer
         prob, oracle_args = box_instance(np.random.default_rng(seed), N, tied=True)
         dx_o, du_o, _ = enumerated_box_qp(*oracle_args)
         solves = []
@@ -386,15 +387,48 @@ class TestBoxQpOracle:
             solves.clear()
             sol = solve_qp(prob, active=start)
             sets, held = zip(*solves)
-            again = next(j for j in range(len(sets)) if sets[j] in sets[:j])
+            assert len(set(sets)) == len(sets)
             # a step either adds violated bounds or releases; releases show as drops in the held count
-            drops = [(j, held[j] - held[j + 1]) for j in range(len(held) - 1) if held[j + 1] < held[j]]
-            assert max(d for j, d in drops if j < again) >= 2
-            after = [d for j, d in drops if j >= again]
-            assert after and all(d == 1 for d in after)
+            drops = [held[j] - held[j + 1] for j in range(len(held) - 1) if held[j + 1] < held[j]]
+            assert drops and all(d == 1 for d in drops)
             assert np.abs(sol.dx - dx_o).max() < 1e-9
             assert np.abs(sol.du - du_o).max() < 1e-9
             assert sol.kkt_residual <= 1e-6
+
+    @pytest.mark.parametrize("q_max", [1.0, 1e2, 1e4])
+    def test_cold_starts_at_large_state_weights_certify(self, q_max):
+        # the bound is two working sets per control of the window, 8 N = 152, inside QP_MAX_ITER
+        # = 200; releasing every wrong-sign multiplier at once reached 200 on 5 of the 40 QPs at
+        # q_max 1e4, where this loop takes at most 83 sets
+        bound = 2 * 4 * 19
+        sets = [solve_qp(prob).working_sets for prob in stress_qps(q_max)]
+        assert len(sets) == 40 and max(sets) <= bound
+
+    def test_objective_never_rises_once_a_solution_lies_in_the_box(self, monkeypatch):
+        # from the first working set whose solution lies in the box, the loop only releases one
+        # wrong-sign multiplier or steps until a bound blocks, so no later solution in the box costs more
+        solutions = []
+        working_set = transcription._solve_working_set
+
+        def record(*args):
+            du, grad = working_set(*args)
+            solutions.append(du)
+            return du, grad
+
+        monkeypatch.setattr(transcription, "_solve_working_set", record)
+        for prob in stress_qps(1e4):
+            solutions.clear()
+            solve_qp(prob)
+            lo, hi = prob.limits.lower - prob.u_pred, prob.limits.upper - prob.u_pred
+            costs = []
+            for du in solutions:
+                if np.all(du >= lo - 1e-12) and np.all(du <= hi + 1e-12):
+                    dx = [prob.initial_gap]
+                    for k in range(prob.horizon):
+                        dx.append(prob.A[k] @ dx[k] + prob.B[k] @ du[k] + prob.defects[k])
+                    costs.append(qp_objective(prob, np.array(dx), du))
+            assert len(costs) >= 2
+            assert all(b <= a + 1e-12 * abs(a) for a, b in zip(costs, costs[1:]))
 
     def test_capped_state_weights_match_held_set_oracle(self, monkeypatch):
         # linear weights at lambda 0.01 reach the cap LINEAR_Q_MAX after a noise kick, which spreads

@@ -4,7 +4,10 @@
 #             (lambda 0.01), agg2 with noise sigma 2 and seed 3, a circle
 #             read back from a CSV file written by to_csv, and agg1
 #             adaptive linear (lambda 0.01) with noise sigma 50, where a
-#             weight ends a tick at the cap LINEAR_Q_MAX;
+#             weight ends a tick at the cap LINEAR_Q_MAX, and two more
+#             agg1 adaptive linear runs with noise whose weights reach that
+#             cap (lambda 1e-6, sigma 5, seed 3; lambda 1e-300, sigma 3,
+#             seed 1), where the active-set loop runs long;
 #   table:    tables 1 and 2, and table 3 at two runs per cell;
 #   plotdata: the agg1 fixed and agg1 exp logs side by side;
 #   library:  agg2 adaptive exp under the benchmark's `saturated` box
@@ -58,6 +61,8 @@ run diamond_linear simulate --trajectory diamond --mode adaptive --variant linea
 run agg2_noise simulate --trajectory agg2 --noise-sigma 2 --seed 3 --out agg2_noise
 run circle_file simulate --trajectory file:circle.csv --out circle_file
 run agg1_linear_cap simulate --trajectory agg1 --mode adaptive --variant linear --lambda 0.01 --noise-sigma 50 --out agg1_linear_cap
+run agg1_cap_sigma5 simulate --trajectory agg1 --mode adaptive --variant linear --lambda 1e-6 --noise-sigma 5 --seed 3 --out agg1_cap_sigma5
+run agg1_cap_sigma3 simulate --trajectory agg1 --mode adaptive --variant linear --lambda 1e-300 --noise-sigma 3 --seed 1 --out agg1_cap_sigma3
 run table1 table --table 1 --out table1
 run table2 table --table 2 --out table2
 run table3 table --table 3 --runs 2 --out table3
